@@ -2,10 +2,10 @@
 
 Times the canonical scaling scenarios (50/200/1000/4000 sinks, with and
 without macro blockages; ``REPRO_SCALE`` caps the ladder for CI smoke)
-with the vectorized routing engine, with the retained seed-reference
-implementations, and — at 1000+ sinks — with the parallel merge-routing
-pool, then emits ``benchmarks/results/BENCH_cts_scaling.json`` — the
-perf-trajectory artifact all future PRs re-measure against.
+with the production synthesis flow and with the retained seed-reference
+implementations running the per-pair flow, then emits
+``benchmarks/results/BENCH_cts_scaling.json`` — the perf-trajectory
+artifact all future PRs re-measure against.
 
 Shape claims:
 - every scenario completes and reports positive wall-clock seconds;
@@ -13,54 +13,17 @@ Shape claims:
   vectorized engine is faster;
 - on the 1000-sink blockage scenario (the acceptance scenario, present
   in full runs) the speedup is at least 10x;
-- parallel merge routing produces a tree bit-identical to the serial
-  flow (checked on the 200-sink blockage scenario every run), and on
-  machines with enough cores the 4000-sink blockage scenario is faster
-  than serial;
-- the lockstep batched commit phase produces a tree bit-identical to
-  the scalar fallback (checked on the 200-sink blockage scenario every
-  run) and, at 1000+ sinks, commit-phase wall-clock and batch-size rows
-  are recorded with the batched commit no slower than the scalar
-  fallback on the blockage scenarios;
-- shared-window routing (level-scoped grid-tile cache + cross-pair
-  batcher) produces a tree bit-identical to the per-pair-window
-  fallback (checked on the 200-sink blockage scenario every run) and,
-  at 1000+ sinks, ``route_speedups`` rows are recorded with the shared
-  path no slower than per-pair windows on the blockage scenarios;
-- the level-batched route-finishing kernel (one ranking pass + lockstep
-  batched descent per level) produces a tree bit-identical to the
-  per-pair finish (checked on the 200-sink blockage scenario every run)
-  and, at 1000+ blockage sinks, ``route_finish_speedups`` rows are
-  recorded with the batched kernel no slower than the per-pair finish;
-- the lockstep profile-expansion scheduler (grouped curve rounds + run
-  extension + masked insertion sub-rounds across every pair of a level)
-  produces a tree bit-identical to the per-pair lazy expansion (checked
-  on the 200-sink blockage scenario every run) and, at 1000+ blockage
-  sinks, ``expansion_speedups`` rows are recorded with the scheduler no
-  slower than the per-pair fallback;
-- the structure-of-arrays tree mirror produces a tree bit-identical to
-  the per-object commit fallback (checked on the 200-sink blockage
-  scenario every run) and, at 1000+ sinks, ``soa_commit_speedups`` rows
-  are recorded with the mirror no slower than the object walks — and at
-  least 1.5x faster on the 4000-sink blockage acceptance scenario.
+- a synthesis killed at a level boundary and resumed from its
+  checkpoint is bit-identical to an uninterrupted run.
 """
-
-import os
 
 from conftest import report
 
 from repro.evalx.perfstats import (
-    PARALLEL_WORKERS,
-    batch_finish_equivalence,
-    batched_equivalence,
     checkpoint_resume_equivalence,
     collect_scaling,
-    expansion_equivalence,
-    parallel_equivalence,
     render_scaling,
     scaling_sizes,
-    shared_equivalence,
-    soa_commit_equivalence,
     write_scaling_json,
 )
 
@@ -90,192 +53,6 @@ def test_perf_scaling():
                 f"{row['speedup']:.1f}x"
             )
 
-    # Parallel rows: identical trees are asserted separately (below);
-    # here the shape claim is that the rows exist for every 1000+ size
-    # and, when the host actually has the cores, that the 4000-sink
-    # blockage scenario beats serial.
-    par_rows = {(r["n_sinks"], r["blockages"]): r for r in payload["parallel_speedups"]}
-    for n in sizes:
-        if n >= 1000:
-            assert (n, False) in par_rows and (n, True) in par_rows
-    many_cores = (os.cpu_count() or 1) > PARALLEL_WORKERS
-    acceptance = par_rows.get((4000, True))
-    if acceptance is not None and many_cores:
-        assert acceptance["speedup"] > 1.0, (
-            "parallel merge routing slower than serial on the 4000-sink "
-            f"blockage scenario: {acceptance['speedup']:.2f}x"
-        )
-
-    # Batched commit rows exist for every 1000+ size, record real commit
-    # wall-clock, and the lockstep path never loses to its own scalar
-    # fallback on the blockage scenarios (the acceptance comparison;
-    # measured multiples are recorded in the JSON for the trajectory).
-    commit_rows = {
-        (r["n_sinks"], r["blockages"]): r for r in payload["commit_speedups"]
-    }
-    for n in sizes:
-        if n >= 1000:
-            assert (n, False) in commit_rows and (n, True) in commit_rows
-    for (n, blocked), row in commit_rows.items():
-        assert row["scalar_commit_s"] > 0 and row["batched_commit_s"] > 0
-        assert row["batch_rounds"] > 0, "lockstep scheduler never engaged"
-        if blocked:
-            # Measured 1.3-1.5x on a quiet machine; the bar is the
-            # noise-tolerant regression guard (sub-second intervals on
-            # shared hosts swing tens of percent), the JSON rows carry
-            # the actual trajectory.
-            assert row["commit_speedup"] >= 1.0, (
-                f"batched commit lost to the scalar fallback at {n} sinks: "
-                f"{row['commit_speedup']:.2f}x"
-            )
-
-    # SoA-commit rows exist for every 1000+ size, record real commit
-    # wall-clock, and the mirror never loses to the per-object walks —
-    # with a hard 1.5x floor on the 4000-sink blockage acceptance
-    # scenario when the host has real cores to keep the timer honest
-    # (same gate as the parallel acceptance above: measured 1.2-1.4x
-    # on a loaded single-core VM where sub-second intervals swing tens
-    # of percent; the JSON rows carry the actual trajectory either way).
-    soa_rows = {
-        (r["n_sinks"], r["blockages"]): r
-        for r in payload["soa_commit_speedups"]
-    }
-    for n in sizes:
-        if n >= 1000:
-            assert (n, False) in soa_rows and (n, True) in soa_rows
-    for (n, blocked), row in soa_rows.items():
-        assert row["object_commit_s"] > 0 and row["soa_commit_s"] > 0
-        if blocked:
-            assert row["soa_commit_speedup"] >= 1.0, (
-                f"SoA commit lost to the object walks at {n} sinks: "
-                f"{row['soa_commit_speedup']:.2f}x"
-            )
-    soa_acceptance = soa_rows.get((4000, True))
-    if soa_acceptance is not None and many_cores:
-        assert soa_acceptance["soa_commit_speedup"] >= 1.5, (
-            "SoA commit below the 1.5x floor on the 4000-sink blockage "
-            f"scenario: {soa_acceptance['soa_commit_speedup']:.2f}x"
-        )
-
-    # Shared-window rows exist for every 1000+ size, the subsystem
-    # actually engaged, and the shared path never loses to its own
-    # per-pair fallback on the blockage scenarios (the acceptance
-    # comparison; measured ~1.2x at 1000 sinks on a quiet machine).
-    route_rows = {
-        (r["n_sinks"], r["blockages"]): r for r in payload["route_speedups"]
-    }
-    for n in sizes:
-        if n >= 1000:
-            assert (n, False) in route_rows and (n, True) in route_rows
-    for (n, blocked), row in route_rows.items():
-        assert row["per_pair_route_s"] > 0 and row["shared_route_s"] > 0
-        if blocked:
-            assert row["windows_served"] > 0, "shared windows never engaged"
-            assert row["route_speedup"] >= 1.0, (
-                f"shared-window routing lost to per-pair windows at {n} "
-                f"sinks: {row['route_speedup']:.2f}x"
-            )
-
-    # Route-finishing rows exist for every 1000+ size on the blockage
-    # ladder (the no-blockage ladder has no maze candidates to rank),
-    # the kernel actually engaged, and the batched finish never loses to
-    # its own per-pair fallback (the acceptance comparison; measured
-    # multiples are recorded in the JSON for the trajectory).
-    finish_rows = {
-        (r["n_sinks"], r["blockages"]): r
-        for r in payload["route_finish_speedups"]
-    }
-    for n in sizes:
-        if n >= 1000:
-            assert (n, True) in finish_rows
-    for (n, __), row in finish_rows.items():
-        assert row["per_pair_finish_route_s"] > 0
-        assert row["batched_finish_route_s"] > 0
-        assert row["finish_batches"] > 0, "finishing kernel never engaged"
-        assert row["cells_ranked"] > 0
-        assert row["route_finish_speedup"] >= 1.0, (
-            f"batched route finishing lost to the per-pair fallback at {n} "
-            f"sinks: {row['route_finish_speedup']:.2f}x"
-        )
-
-    # Lockstep-expansion rows exist for every 1000+ size on the blockage
-    # ladder, the scheduler actually engaged, and it never loses to its
-    # own per-pair fallback (the acceptance comparison; measured ~1.4x
-    # at 1000 sinks and ~1.6x at 4000 on a quiet machine — the JSON rows
-    # carry the actual multiples for the trajectory).
-    expansion_rows = {
-        (r["n_sinks"], r["blockages"]): r
-        for r in payload["expansion_speedups"]
-    }
-    for n in sizes:
-        if n >= 1000:
-            assert (n, True) in expansion_rows
-    for (n, __), row in expansion_rows.items():
-        assert row["per_pair_expansion_route_s"] > 0
-        assert row["batched_expansion_route_s"] > 0
-        assert row["expansion_lanes"] > 0, "expansion scheduler never engaged"
-        assert row["expansion_runs"] > 0
-        assert row["curve_points"] > 0
-        assert row["expansion_speedup"] >= 1.0, (
-            f"lockstep profile expansion lost to the per-pair fallback at "
-            f"{n} sinks: {row['expansion_speedup']:.2f}x"
-        )
-
-
-def test_parallel_matches_serial():
-    """Parallel flow is bit-identical to serial on the 200-sink scenario."""
-    payload = parallel_equivalence(n_sinks=200, with_blockages=True)
-    assert payload["serial_tree"] == payload["parallel_tree"]
-    assert payload["serial_stats"] == payload["parallel_stats"]
-    assert payload["serial_levels"] == payload["parallel_levels"]
-
-
-def test_shared_windows_match_per_pair():
-    """Shared-window routing is bit-identical to per-pair windows (200
-    sinks, serial); the shared side actually exercised the tile cache."""
-    payload = shared_equivalence(n_sinks=200, with_blockages=True)
-    assert payload["shared_tree"] == payload["per_pair_tree"]
-    assert payload["shared_stats"] == payload["per_pair_stats"]
-    assert payload["shared_levels"] == payload["per_pair_levels"]
-    assert payload["shared_sharing"]["windows_served"] > 0
-    assert payload["per_pair_sharing"]["windows_served"] == 0
-
-
-def test_batched_finish_matches_per_pair():
-    """The level-batched route-finishing kernel is bit-identical to the
-    per-pair finish (200 sinks, shared windows on both sides); the
-    batched side actually ranked and descended level-wide."""
-    payload = batch_finish_equivalence(n_sinks=200, with_blockages=True)
-    assert payload["batched_tree"] == payload["per_pair_tree"]
-    assert payload["batched_stats"] == payload["per_pair_stats"]
-    assert payload["batched_levels"] == payload["per_pair_levels"]
-    assert payload["batched_sharing"]["finish_batches"] > 0
-    assert payload["batched_sharing"]["cells_ranked"] > 0
-    assert payload["per_pair_sharing"]["finish_batches"] == 0
-    # Both sides routed the same pairs through the same shared windows.
-    for key in ("pairs_routed", "windows_served", "curve_points"):
-        assert payload["batched_sharing"][key] == payload["per_pair_sharing"][key]
-
-
-def test_batched_expansion_matches_per_pair():
-    """The lockstep profile-expansion scheduler is bit-identical to the
-    per-pair lazy expansion (200 sinks, shared windows + batched finish
-    on both sides); the scheduler actually ran grouped lanes."""
-    payload = expansion_equivalence(n_sinks=200, with_blockages=True)
-    assert payload["batched_tree"] == payload["per_pair_tree"]
-    assert payload["batched_stats"] == payload["per_pair_stats"]
-    assert payload["batched_levels"] == payload["per_pair_levels"]
-    assert payload["batched_sharing"]["expansion_lanes"] > 0
-    assert payload["batched_sharing"]["expansion_runs"] > 0
-    assert payload["per_pair_sharing"]["expansion_lanes"] == 0
-    # Only the scheduler primes tables in grouped rounds; the per-pair
-    # side evaluates curves lazily inside the builders and counts none.
-    assert payload["batched_sharing"]["curve_points"] > 0
-    assert payload["per_pair_sharing"]["curve_points"] == 0
-    # Both sides routed the same pairs through the same shared windows.
-    for key in ("pairs_routed", "windows_served"):
-        assert payload["batched_sharing"][key] == payload["per_pair_sharing"][key]
-
 
 def test_checkpoint_resume_matches_clean():
     """A synthesis killed at a level boundary and resumed from its
@@ -286,31 +63,3 @@ def test_checkpoint_resume_matches_clean():
     assert payload["clean_levels"] == payload["resumed_levels"]
     assert payload["resumed_from"] == 2
     assert payload["checkpoints_written"] == 2
-
-
-def test_soa_commit_matches_object():
-    """The structure-of-arrays tree mirror is bit-identical to the
-    per-object commit fallback (200 sinks); both sides answer the same
-    probe sequences."""
-    payload = soa_commit_equivalence(n_sinks=200, with_blockages=True)
-    assert payload["soa_tree"] == payload["object_tree"]
-    assert payload["soa_stats"] == payload["object_stats"]
-    assert payload["soa_levels"] == payload["object_levels"]
-    soa_q, obj_q = payload["soa_queries"], payload["object_queries"]
-    for key in ("search_probes", "clamp_probes", "repair_probes", "reused_checks"):
-        assert soa_q[key] == obj_q[key]
-
-
-def test_batched_commit_matches_scalar():
-    """Batched commit is bit-identical to the scalar fallback (200 sinks)."""
-    payload = batched_equivalence(n_sinks=200, with_blockages=True)
-    assert payload["scalar_tree"] == payload["batched_tree"]
-    assert payload["scalar_stats"] == payload["batched_stats"]
-    assert payload["scalar_levels"] == payload["batched_levels"]
-    # Both drivers issue the same probe sequences; only the batched one
-    # answers them in vectorized lockstep rounds.
-    scalar_q, batched_q = payload["scalar_queries"], payload["batched_queries"]
-    for key in ("search_probes", "clamp_probes", "repair_probes", "reused_checks"):
-        assert scalar_q[key] == batched_q[key]
-    assert scalar_q["batched_rounds"] == 0
-    assert batched_q["batched_rounds"] > 0

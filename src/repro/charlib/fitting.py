@@ -212,7 +212,7 @@ class PolynomialFit:
         deterministic functions of the coefficients, so unpickling
         re-derives them and query results stay bit-identical. This is
         what lets a whole :class:`~repro.charlib.library.DelaySlewLibrary`
-        ship to merge-routing worker processes.
+        be pickled.
         """
         return {
             "exponents": self.exponents,

@@ -43,54 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--hstructure", choices=["reestimate", "correct"])
     synth.add_argument("--router", choices=["profile", "maze"], default="profile")
     synth.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="process-pool workers for per-pair merge routing (0 = serial;"
-        " results are bit-identical either way)",
-    )
-    synth.add_argument(
-        "--no-batch-commit",
-        action="store_true",
-        help="commit merges with scalar timing queries instead of the"
-        " lockstep batched scheduler (bit-identical, for debugging/timing)",
-    )
-    synth.add_argument(
-        "--no-shared-windows",
-        action="store_true",
-        help="route every merge over a private per-pair maze window instead"
-        " of the level-scoped shared grid-tile cache (bit-identical, for"
-        " debugging/timing)",
-    )
-    synth.add_argument(
-        "--no-batch-expansion",
-        action="store_true",
-        help="expand delay profiles pair by pair with lazy table"
-        " evaluation instead of the lockstep level scheduler"
-        " (bit-identical, for debugging/timing)",
-    )
-    synth.add_argument(
-        "--no-batch-route-finish",
-        action="store_true",
-        help="finish shared-window maze routes pair by pair instead of"
-        " through the level-wide ranking/materialization kernel"
-        " (bit-identical, for debugging/timing)",
-    )
-    synth.add_argument(
-        "--no-soa-commit",
-        action="store_true",
-        help="run the commit phase on per-node object walks instead of"
-        " the structure-of-arrays tree mirror (bit-identical, for"
-        " debugging/timing)",
-    )
-    synth.add_argument(
-        "--strict",
-        action="store_true",
-        help="re-raise fast-path failures instead of degrading to the"
-        " bit-identical scalar fallbacks (CI equivalence runs)",
-    )
-    synth.add_argument(
         "--checkpoint-dir",
         metavar="DIR",
         help="write a resumable snapshot after each topology level",
@@ -103,18 +55,10 @@ def _build_parser() -> argparse.ArgumentParser:
         " to an uninterrupted run",
     )
     synth.add_argument(
-        "--pool-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-batch worker-pool gather timeout before the supervision"
-        " ladder engages (0 waits forever)",
-    )
-    synth.add_argument(
         "--fault-plan",
         metavar="PLAN",
         help="deterministic fault-injection plan, site:index:mode,..."
-        " (testing the degradation ladder; see repro.evalx.faultinject)",
+        " (testing checkpoint resume; see repro.evalx.faultinject)",
     )
     synth.add_argument("--eval-dt", type=float, default=1.0, help="sim step (ps)")
     synth.add_argument("--json", metavar="PATH", help="save tree as JSON")
@@ -130,43 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--table", choices=["5.1", "5.2", "5.3"], required=True)
     bench.add_argument("--scale", type=int, default=40, help="sinks per instance")
     bench.add_argument("--full", action="store_true", help="published sizes")
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="process-pool workers for per-pair merge routing (0 = serial)",
-    )
-    bench.add_argument(
-        "--no-batch-commit",
-        action="store_true",
-        help="commit merges with scalar timing queries instead of the"
-        " lockstep batched scheduler",
-    )
-    bench.add_argument(
-        "--no-shared-windows",
-        action="store_true",
-        help="route merges over private per-pair maze windows instead of"
-        " the level-scoped shared grid-tile cache",
-    )
-    bench.add_argument(
-        "--no-batch-expansion",
-        action="store_true",
-        help="expand delay profiles pair by pair with lazy table"
-        " evaluation instead of the lockstep level scheduler",
-    )
-    bench.add_argument(
-        "--no-batch-route-finish",
-        action="store_true",
-        help="finish shared-window maze routes pair by pair instead of"
-        " through the level-wide ranking/materialization kernel",
-    )
-    bench.add_argument(
-        "--no-soa-commit",
-        action="store_true",
-        help="run the commit phase on per-node object walks instead of"
-        " the structure-of-arrays tree mirror",
-    )
 
     batch = sub.add_parser(
         "run-batch",
@@ -230,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="statically check determinism and kernel-contract rails"
+        help="statically check determinism and option/CI contracts"
         " (repro-lint; see ANALYSIS.md)",
     )
     from repro.lintx.cli import add_lint_arguments
@@ -268,22 +175,15 @@ def _cmd_synthesize(args) -> int:
         slew_limit=args.slew_limit * 1e-12,
         hstructure=args.hstructure,
         router=args.router,
-        **({} if args.workers is None else {"workers": args.workers}),
-        **({"batch_commit": False} if args.no_batch_commit else {}),
-        **({"shared_windows": False} if args.no_shared_windows else {}),
-        **({"batch_expansion": False} if args.no_batch_expansion else {}),
-        **({"batch_route_finish": False} if args.no_batch_route_finish else {}),
-        **({"soa_commit": False} if args.no_soa_commit else {}),
-        **({"strict": True} if args.strict else {}),
         **({} if args.checkpoint_dir is None else {"checkpoint_dir": args.checkpoint_dir}),
         **({} if args.resume_from is None else {"resume_from": args.resume_from}),
-        **({} if args.pool_timeout is None else {"pool_timeout": args.pool_timeout}),
         **({} if args.fault_plan is None else {"fault_plan": args.fault_plan}),
     )
     cts = AggressiveBufferedCTS(options=options, blockages=inst.blockages or None)
     result = cts.synthesize(inst.sink_pairs(), inst.source)
     print(result.report())
 
+    violated = False
     if not args.no_eval:
         metrics = evaluate_tree(result.tree, cts.tech, dt=args.eval_dt * 1e-12)
         print(
@@ -292,9 +192,9 @@ def _cmd_synthesize(args) -> int:
             f" skew {metrics.skew * 1e12:.1f} ps,"
             f" latency {metrics.latency * 1e9:.2f} ns"
         )
-        if metrics.worst_slew > options.slew_limit:
-            print("SLEW CONSTRAINT VIOLATED", file=sys.stderr)
-            return 1
+        violated = metrics.worst_slew > options.slew_limit
+    # Exports come first even on a violation: the failing tree is the
+    # one worth inspecting.
     if args.json:
         save_tree_json(result.tree, args.json)
         print(f"tree saved to {args.json}")
@@ -304,6 +204,9 @@ def _cmd_synthesize(args) -> int:
     if args.spice:
         Path(args.spice).write_text(tree_netlist(result.tree.root, cts.tech))
         print(f"SPICE netlist saved to {args.spice}")
+    if violated:
+        print("SLEW CONSTRAINT VIOLATED", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -321,7 +224,6 @@ def _cmd_characterize(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from repro.core import CTSOptions
     from repro.evalx.harness import (
         render_table_5_1,
         render_table_5_2,
@@ -332,32 +234,12 @@ def _cmd_bench(args) -> int:
     )
 
     full = True if args.full else False
-    options = CTSOptions(
-        **({} if args.workers is None else {"workers": args.workers}),
-        **({"batch_commit": False} if args.no_batch_commit else {}),
-        **({"shared_windows": False} if args.no_shared_windows else {}),
-        **({"batch_expansion": False} if args.no_batch_expansion else {}),
-        **({"batch_route_finish": False} if args.no_batch_route_finish else {}),
-        **({"soa_commit": False} if args.no_soa_commit else {}),
-    )
     if args.table == "5.1":
-        print(
-            render_table_5_1(
-                table_5_1_rows(full=full, scale=args.scale, options=options)
-            )
-        )
+        print(render_table_5_1(table_5_1_rows(full=full, scale=args.scale)))
     elif args.table == "5.2":
-        print(
-            render_table_5_2(
-                table_5_2_rows(full=full, scale=args.scale, options=options)
-            )
-        )
+        print(render_table_5_2(table_5_2_rows(full=full, scale=args.scale)))
     else:
-        print(
-            render_table_5_3(
-                table_5_3_rows(full=full, scale=args.scale, workers=options.workers)
-            )
-        )
+        print(render_table_5_3(table_5_3_rows(full=full, scale=args.scale)))
     return 0
 
 

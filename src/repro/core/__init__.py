@@ -20,7 +20,6 @@ from repro.core.topology import (
     select_seed_index,
 )
 from repro.core.merge_routing import MergePlan, MergeRouter, MergeStats, route_pair
-from repro.core.parallel_merge import ParallelMergeExecutor, WorkerContext
 from repro.core.segment_builder import PathBuilder, PathState, PlacedBuffer, SegmentTables
 from repro.core.routing_common import (
     RouteTerminal,
@@ -43,7 +42,6 @@ from repro.core.binary_search import (
     ProbeRequest,
 )
 from repro.core.balance import snake_delay, SnakeResult
-from repro.core.resilience import Degradation, ResilienceLog
 from repro.core.checkpoint import (
     CheckpointState,
     load_checkpoint,
@@ -70,8 +68,6 @@ __all__ = [
     "MergeRouter",
     "MergeStats",
     "route_pair",
-    "ParallelMergeExecutor",
-    "WorkerContext",
     "PathBuilder",
     "PathState",
     "PlacedBuffer",
@@ -97,8 +93,6 @@ __all__ = [
     "ProbeRequest",
     "snake_delay",
     "SnakeResult",
-    "Degradation",
-    "ResilienceLog",
     "CheckpointState",
     "load_checkpoint",
     "write_checkpoint",

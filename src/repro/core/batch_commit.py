@@ -1,6 +1,6 @@
 """Lockstep batched commit phase: one vectorized library round per step.
 
-PR 2 took the route phase off the critical path; what remained serial was
+With the route phase batched level-wide, what remained per pair was
 the commit phase's library timing queries — per pair, up to five rounds of
 bisection (``MergeSearchState``) plus slew-repair checks, each a handful
 of Horner-evaluated polynomial fits issued one at a time. Those queries
@@ -21,9 +21,9 @@ Bit-identity with the scalar flow rests on three facts:
   key (bucket-representative evaluation + interpolation), so the
   interleaved cache fill order cannot change any value;
 - pairs advance in pair order and every node-creating advance records
-  the id span it consumed, so the level is renumbered into serial
-  creation order afterwards (the PR 2 machinery, now with as many spans
-  per pair as the pair had node-creating steps).
+  the id span it consumed, so the level is renumbered into per-pair
+  creation order afterwards (:mod:`repro.core.parallel_merge`, with as
+  many spans per pair as the pair had node-creating steps).
 
 ``PairCommitState`` is the single implementation of the commit loop:
 the scalar flow (``MergeRouter.commit``) drives it probe by probe, the
@@ -57,9 +57,9 @@ SCALAR_ROUND_ROWS = 32
 class CommitQueryStats:
     """Commit-phase library-query totals, split by probe purpose.
 
-    Probe-row counters are mode-independent (the scalar and batched
-    drivers issue identical probe sequences); the ``batched_*`` counters
-    are only advanced by the lockstep scheduler.
+    Probe-row counters are the same whether probes are answered scalar
+    or batched (both issue identical probe sequences); the ``batched_*``
+    counters are only advanced by the lockstep scheduler.
     """
 
     search_probes: int = 0  # split evaluations (bracket/bisect/final)
@@ -127,7 +127,7 @@ class PairCommitState:
         self.phase = "done"
         # Snake diagnostics (the prepare phase's via the plan, the commit
         # phase's accumulated here) are applied to the router stats at
-        # finish — pair order in every mode — so the float sum does not
+        # finish — always in pair order — so the float sum does not
         # depend on how the lockstep scheduler interleaves pairs.
         self._n_snaked = plan.n_snaked
         self._snaked_delay = plan.snaked_delay
@@ -136,17 +136,13 @@ class PairCommitState:
         #: phase "stage" instead of forcing the stage buffer inline, so
         #: a whole round's forced-stage decisions batch through the SoA
         #: kernel. The pair's node-creating order is unchanged — the
-        #: stage buffer is always its last created node — so the serial
+        #: stage buffer is always its last created node — so the
         #: renumbering sees identical per-pair span sequences.
         self.defer_stage = False
         self._pending_stage_merge: TreeNode | None = None
         if plan.coincident:
             self.root = router._merge_coincident(plan.root1, plan.root2)
             return
-        # ``route`` may come from another process with detached
-        # terminals; the plan's terminals hold the live nodes.
-        route.left.terminal = plan.term1
-        route.right.terminal = plan.term2
         self.v1, arc1 = router._materialize_chain(route.left)
         self.v2, arc2 = router._materialize_chain(route.right)
         self.span = route.left.polyline.subpath(
@@ -386,19 +382,11 @@ class BatchCommitScheduler:
     branch-slews evaluation, then advance the machines in pair order.
     Node-creating advances record the id span they consumed into
     ``spans`` (when given) so the caller can renumber the level into
-    serial creation order.
+    per-pair creation order.
     """
 
     def __init__(self, router) -> None:
         self.router = router
-        #: Set once a vectorized round fails; every later round of this
-        #: scheduler answers scalar (one degradation event per cause).
-        self._degraded = False
-        self._plan = None
-        if router.options.fault_plan:
-            from repro.evalx.faultinject import active_plan
-
-            self._plan = active_plan(router.options.fault_plan)
 
     def run(
         self,
@@ -412,10 +400,9 @@ class BatchCommitScheduler:
         soa = getattr(router.engine, "_soa", None)
         if soa is not None and spans is not None:
             # Stage-buffer forcing parks in phase "stage" and resolves
-            # level-wide through the SoA kernel after each advance round
-            # (scalar per merge once the mirror degrades). Only when
-            # spans are recorded: the deferral regroups actual creation
-            # order across pairs, which the serial renumbering undoes.
+            # level-wide through the SoA kernel after each advance round.
+            # Only when spans are recorded: the deferral regroups actual
+            # creation order across pairs, which the renumbering undoes.
             for state in states:
                 state.defer_stage = True
         active = [i for i, state in enumerate(states) if not state.done]
@@ -434,35 +421,14 @@ class BatchCommitScheduler:
                         slew_rows.append(row)
             results = {i: [None] * len(probes) for i, probes in gathered}
             n_rows = len(diff_rows) + len(slew_rows)
-            answered = False
-            if n_rows >= SCALAR_ROUND_ROWS and not self._degraded:
-                try:
-                    if self._plan is not None:
-                        self._plan.consult("batch_commit")
-                    if diff_rows:
-                        self._answer_diff_rows(
-                            diff_rows, results, drive, input_slew
-                        )
-                    if slew_rows:
-                        self._answer_slew_rows(
-                            slew_rows, results, drive, input_slew
-                        )
-                    stats.batched_rounds += 1
-                    stats.batched_rows += n_rows
-                    answered = True
-                except MemoryError:
-                    # Never degrade past an OOM: the jobs watchdog must
-                    # see it, not a silently slower scalar retry.
-                    raise
-                except Exception as exc:
-                    # Re-answering a partially scattered round scalar is
-                    # safe: the scalar evaluator recomputes every row
-                    # from the probe alone, overwriting any batched
-                    # answers with bit-identical values. ``requests()``
-                    # ran exactly once, so probe counters stay serial.
-                    self.router.resilience.note("batch_commit", exc)
-                    self._degraded = True
-            if not answered:
+            if n_rows >= SCALAR_ROUND_ROWS:
+                if diff_rows:
+                    self._answer_diff_rows(diff_rows, results, drive, input_slew)
+                if slew_rows:
+                    self._answer_slew_rows(slew_rows, results, drive, input_slew)
+                stats.batched_rounds += 1
+                stats.batched_rows += n_rows
+            else:
                 for i, slot, probe in diff_rows + slew_rows:
                     results[i][slot] = states[i]._evaluate_scalar(probe)
             for i, __ in gathered:
@@ -486,22 +452,18 @@ class BatchCommitScheduler:
         One batched :meth:`~repro.core.soa_tree.SoaTree.stage_drivers`
         call decides every parked merge; application (node creation,
         stats, span recording) stays in pair order, so the per-pair
-        creation sequence — and therefore the serial renumbering —
-        is exactly the inline flow's.
+        creation sequence — and therefore the renumbering — is exactly
+        the inline flow's.
         """
         router = self.router
-        soa = getattr(router.engine, "_soa", None)
         merges = [states[i]._pending_stage_merge for i in staged]
-        drivers = soa.stage_drivers(router, merges) if soa is not None else None
+        drivers = router.engine._soa.stage_drivers(router, merges)
         for pos, i in enumerate(staged):
             state = states[i]
             merge = state._pending_stage_merge
             state._pending_stage_merge = None
             start = peek_node_id()
-            if drivers is None:
-                root = router._maybe_force_stage_buffer(merge)
-            else:
-                root = router._apply_stage_driver(merge, drivers[pos])
+            root = router._apply_stage_driver(merge, drivers[pos])
             end = peek_node_id()
             if spans is not None and end > start:
                 spans[i].append((start, end))

@@ -27,12 +27,10 @@ objects, so checkpoints survive refactors of the in-memory classes
 better than naive object pickles would.
 
 Compatibility is enforced by two digests: ``options_digest`` covers the
-**result-affecting** options only (resilience/performance knobs like
-``workers``, ``batch_commit`` or ``strict`` are excluded — every fast
-path is bit-identical to its fallback, so a checkpoint written by a
-parallel batched run may be resumed by a serial scalar one and vice
-versa), and ``sinks_digest`` covers the sink instance. A mismatch of
-either fails loudly with what differed.
+**result-affecting** options only (run plumbing such as ``fault_plan``,
+``checkpoint_dir`` or ``heartbeat_file`` is excluded, so a resumed run
+may point its plumbing elsewhere), and ``sinks_digest`` covers the sink
+instance. A mismatch of either fails loudly with what differed.
 
 Tree encoding walks each subtree in child-order-preserving preorder
 (``TreeNode.walk`` reverses children — wrong here, attach order must
@@ -56,14 +54,13 @@ from repro.core.batch_commit import CommitQueryStats
 from repro.core.grid_cache import SharingStats
 from repro.core.merge_routing import MergeStats
 from repro.core.options import CTSOptions
-from repro.core.resilience import Degradation
 from repro.core.topology import SubTree
 from repro.geom.point import Point
 from repro.tech.buffers import BufferLibrary
 from repro.timing.analysis import SubtreeBounds
 from repro.tree.nodes import NodeKind, TreeNode
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 #: Frame prefix of every checkpoint file: magic, then the SHA-256 of the
 #: pickled body. A file that lacks the magic or fails the digest is torn
@@ -81,10 +78,9 @@ class CorruptCheckpointError(ValueError):
     a semantically incompatible one.
     """
 
-#: The options that change the synthesized tree. Everything else —
-#: parallelism, batching, resilience, validation — only changes how the
-#: same tree is computed, so it is deliberately outside the digest:
-#: checkpoints stay portable across execution modes.
+#: The options that change the synthesized tree. Everything else — run
+#: plumbing and validation — only changes how the same tree is computed,
+#: so it is deliberately outside the digest.
 _RESULT_FIELDS = (
     "slew_limit",
     "slew_margin",
@@ -109,30 +105,19 @@ _RESULT_FIELDS = (
     "seed",
 )
 
-#: The options deliberately *excluded* from the digest: execution-mode
-#: knobs whose every fast path is bit-identical to its fallback, plus
-#: the resilience plumbing itself. The split is explicit (not "whatever
-#: is left over") so that a new knob must be classified on day one —
+#: The options deliberately *excluded* from the digest: run plumbing
+#: that never changes the tree. The split is explicit (not "whatever is
+#: left over") so that a new option must be classified on day one —
 #: repro-lint rule CON305 fails the build if a ``CTSOptions`` field is
 #: in neither list, and :func:`options_digest` refuses to run on an
 #: incomplete partition.
 _EXECUTION_FIELDS = (
     "workers",
-    "merge_batch_size",
-    "parallel_min_level_size",
-    "batch_commit",
-    "batch_commit_min_pairs",
-    "shared_windows",
-    "batch_expansion",
-    "batch_route_finish",
-    "strict",
-    "pool_timeout",
     "fault_plan",
     "checkpoint_dir",
     "resume_from",
     "heartbeat_file",
     "validate_every_merge",
-    "soa_commit",
 )
 
 
@@ -174,7 +159,6 @@ class CheckpointState:
     merge_stats: MergeStats
     commit_queries: CommitQueryStats
     route_sharing: SharingStats
-    degradations: list[Degradation]
 
 
 # ----------------------------------------------------------------------
@@ -192,12 +176,11 @@ def _iter_preorder(root: TreeNode):
 
 
 def _encode_subtree(subtree: SubTree, soa=None) -> dict:
-    nodes = None
     if soa is not None:
         # Row-identical to the object walk below (same preorder, same
-        # fields); returns None when the mirror has degraded.
+        # fields).
         nodes = soa.checkpoint_rows(subtree.root)
-    if nodes is None:
+    else:
         nodes = [
             (
                 node.id,
@@ -275,7 +258,6 @@ def write_checkpoint(
     merge_stats: MergeStats,
     commit_queries: CommitQueryStats,
     route_sharing: SharingStats,
-    degradations: list[Degradation],
     soa=None,
 ) -> str:
     """Atomically snapshot the flow state after topology ``level``."""
@@ -291,7 +273,6 @@ def write_checkpoint(
         "merge_stats": _stats_dict(merge_stats),
         "commit_queries": _stats_dict(commit_queries),
         "route_sharing": _stats_dict(route_sharing),
-        "degradations": [d.as_record() for d in degradations],
     }
     os.makedirs(dirpath, exist_ok=True)
     path = os.path.join(dirpath, checkpoint_filename(level))
@@ -422,8 +403,8 @@ def load_checkpoint(
     if payload["options_digest"] != options_digest(options):
         raise ValueError(
             f"checkpoint {path!r} was written with different "
-            "result-affecting options (performance and resilience knobs "
-            "are exempt; topology/routing/timing knobs must match)"
+            "result-affecting options (run plumbing is exempt;"
+            " topology/routing/timing options must match)"
         )
     route_sharing = SharingStats(**payload["route_sharing"])
     return CheckpointState(
@@ -437,7 +418,4 @@ def load_checkpoint(
         merge_stats=MergeStats(**payload["merge_stats"]),
         commit_queries=CommitQueryStats(**payload["commit_queries"]),
         route_sharing=route_sharing,
-        degradations=[
-            Degradation.from_record(item) for item in payload["degradations"]
-        ],
     )

@@ -36,6 +36,18 @@ from repro.tree.nodes import (
 )
 from repro.tree.validate import validate_tree
 
+#: Smallest topology level, in pairs, whose commits advance in lockstep
+#: through the batched scheduler (:mod:`repro.core.batch_commit`); below
+#: it the lockstep bookkeeping costs more than it saves.
+BATCH_COMMIT_MIN_PAIRS = 4
+
+#: Smallest maze-routed level, in pairs, that routes through the
+#: shared-window batcher (:mod:`repro.core.grid_cache`). It pays from
+#: the first co-routed pair (one curve round either way), so any level
+#: with two routable pairs sweeps. Profile-only runs have no windows to
+#: share and sweep only for the batched commit.
+SHARED_WINDOWS_MIN_PAIRS = 2
+
 
 @dataclass
 class SynthesisResult:
@@ -53,10 +65,6 @@ class SynthesisResult:
     phase_seconds: dict = field(default_factory=dict)
     commit_queries: dict = field(default_factory=dict)
     route_sharing: dict = field(default_factory=dict)
-    #: Degradation events of this run (fast paths that fell back to their
-    #: bit-identical scalar twins mid-synthesis; see repro.core.resilience).
-    #: A resumed run carries the interrupted run's events forward.
-    degradations: list = field(default_factory=list)
     #: The completed topology level this run restarted after, when it
     #: resumed from a checkpoint; None for a fresh synthesis.
     resumed_from: int | None = None
@@ -73,11 +81,6 @@ class SynthesisResult:
         ]
         if self.resumed_from is not None:
             lines.append(f"resumed from checkpoint after level {self.resumed_from}")
-        for event in self.degradations:
-            lines.append(
-                f"degraded: {event.component} at level {event.level}"
-                f" ({event.reason})"
-            )
         return "\n".join(lines)
 
 
@@ -108,8 +111,6 @@ class AggressiveBufferedCTS:
             blockages,
         )
         self._cost = EdgeCost(self.options, self.router._delay_per_unit)
-        #: Why the parallel path was disabled, if it was (see _make_executor).
-        self.parallel_fallback_reason: str | None = None
 
     # ------------------------------------------------------------------
 
@@ -120,25 +121,20 @@ class AggressiveBufferedCTS:
     ) -> SynthesisResult:
         """Synthesize a clock tree over ``(location, capacitance)`` sinks.
 
-        Under ``options.soa_commit`` the run executes with a
-        structure-of-arrays mirror of the in-flight tree installed
-        (:class:`repro.core.soa_tree.SoaTree`): every node creation /
-        attach / detach is echoed into flat numpy columns, and the
-        commit phase's bounds-bucket prefill, forced-stage-buffer
-        decisions and checkpoint frames read the columns instead of
-        walking node objects — bit-identical to the object walks, which
-        remain the degradation fallback.
+        The run executes with a structure-of-arrays mirror of the
+        in-flight tree installed (:class:`repro.core.soa_tree.SoaTree`):
+        every node creation / attach / detach is echoed into flat numpy
+        columns, and the commit phase's bounds-bucket prefill,
+        forced-stage-buffer decisions and checkpoint frames read the
+        columns instead of walking node objects. :meth:`_synthesize`
+        alone runs the same flow on the object walks (the tests'
+        equivalence oracle).
         """
         if len(sinks) < 1:
             raise ValueError("need at least one sink")
-        if not self.options.soa_commit:
-            return self._synthesize(sinks, source_location)
         from repro.core.soa_tree import SoaTree
 
-        soa = SoaTree(
-            resilience=self.router.resilience,
-            fault_plan=self.options.fault_plan,
-        )
+        soa = SoaTree()
         previous = set_tree_recorder(soa)
         self.engine.attach_soa(soa)
         try:
@@ -153,8 +149,6 @@ class AggressiveBufferedCTS:
         source_location: Point | None = None,
     ) -> SynthesisResult:
         t0 = time.perf_counter()
-        resilience = self.router.resilience
-        resilience.events.clear()
         resumed_from: int | None = None
         if self.options.resume_from is not None:
             level, center, n_flips, n_levels = self._resume(sinks)
@@ -164,56 +158,27 @@ class AggressiveBufferedCTS:
             center = centroid([s.point for s in level])
             n_flips = 0
             n_levels = 0
-        executor = self._make_executor()
-        try:
-            while len(level) > 1:
-                n_levels += 1
-                resilience.level = n_levels
-                self.router.reset_grid_cache()
-                pairs, seed = greedy_matching(level, center, self._cost)
-                next_level: list[SubTree] = [seed] if seed else []
-                use_pool = (
-                    executor is not None
-                    and len(pairs) >= self.options.parallel_min_level_size
-                )
-                use_batch = (
-                    self.options.batch_commit
-                    and len(pairs) >= self.options.batch_commit_min_pairs
-                )
-                # Shared-window routing pays from the first co-routed
-                # maze pair (one curve round either way), so any level
-                # with two routable pairs sweeps; deliberately not
-                # coupled to the commit-batching threshold. Profile-only
-                # runs have no windows to share and stay on the cheap
-                # serial loop.
-                use_shared = (
-                    self.options.shared_windows
-                    and len(pairs) >= 2
-                    and uses_maze_router(self.options, self.router.blockages)
-                )
-                if use_pool or use_batch or use_shared:
-                    merged_level, level_flips = self._merge_level_swept(
-                        executor if use_pool else None, pairs, use_batch
-                    )
-                    n_flips += level_flips
-                    next_level.extend(merged_level)
-                else:
-                    for a, b in pairs:
-                        merged = self._merge_pair(a, b)
-                        n_flips += merged[1]
-                        next_level.extend(merged[0])
-                level = next_level
-                if self.options.checkpoint_dir is not None:
-                    self._write_checkpoint(
-                        n_levels, level, n_flips, center, sinks
-                    )
-                self._level_pulse(n_levels)
-        finally:
-            if executor is not None:
-                if executor.fallback_reason is not None:
-                    self.parallel_fallback_reason = executor.fallback_reason
-                executor.close()
-            resilience.level = 0
+        while len(level) > 1:
+            n_levels += 1
+            self.router.reset_grid_cache()
+            pairs, seed = greedy_matching(level, center, self._cost)
+            next_level: list[SubTree] = [seed] if seed else []
+            maze = uses_maze_router(self.options, self.router.blockages)
+            use_batch = len(pairs) >= BATCH_COMMIT_MIN_PAIRS
+            use_shared = maze and len(pairs) >= SHARED_WINDOWS_MIN_PAIRS
+            if use_batch or use_shared:
+                merged_level, level_flips = self._merge_level_swept(pairs, use_batch)
+                n_flips += level_flips
+                next_level.extend(merged_level)
+            else:
+                for a, b in pairs:
+                    merged = self._merge_pair(a, b)
+                    n_flips += merged[1]
+                    next_level.extend(merged[0])
+            level = next_level
+            if self.options.checkpoint_dir is not None:
+                self._write_checkpoint(n_levels, level, n_flips, center, sinks)
+            self._level_pulse(n_levels)
         root = level[0].root
         if source_location is None:
             source_location = root.location
@@ -231,7 +196,6 @@ class AggressiveBufferedCTS:
             phase_seconds=dict(self.router.phase_seconds),
             commit_queries=self.router.commit_queries.as_dict(),
             route_sharing=self.router.route_sharing.as_dict(),
-            degradations=list(resilience.events),
             resumed_from=resumed_from,
         )
 
@@ -262,15 +226,14 @@ class AggressiveBufferedCTS:
             merge_stats=self.router.stats,
             commit_queries=self.router.commit_queries,
             route_sharing=self.router.route_sharing,
-            degradations=self.router.resilience.events,
             soa=self.engine._soa,
         )
         if self.options.fault_plan:
             from repro.evalx.faultinject import active_plan
 
             # ``checkpoint:N:halt`` simulates a kill right after the N-th
-            # snapshot landed; SynthesisHalted is a BaseException, so it
-            # unwinds straight through every degradation guard.
+            # snapshot landed; SynthesisHalted is a BaseException, so no
+            # ``except Exception`` on the way out can swallow it.
             active_plan(self.options.fault_plan).consult("checkpoint")
 
     def _level_pulse(self, n_levels: int) -> None:
@@ -317,7 +280,6 @@ class AggressiveBufferedCTS:
         # ``route_sharing`` is aliased by the router's grid cache — merge
         # the saved counters in rather than swapping the object out.
         self.router.route_sharing.merge(state.route_sharing)
-        self.router.resilience.events.extend(state.degradations)
         return (
             state.subtrees,
             Point(*state.center),
@@ -326,50 +288,25 @@ class AggressiveBufferedCTS:
         )
 
     # ------------------------------------------------------------------
-    # Parallel level routing
+    # Swept level merging
     # ------------------------------------------------------------------
-
-    def _make_executor(self):
-        """A :class:`ParallelMergeExecutor`, or None for the serial flow.
-
-        Falls back to serial (recording why) when the routing context
-        cannot cross a process boundary — e.g. a hand-built library with
-        unpicklable members.
-        """
-        self.parallel_fallback_reason = None
-        if self.options.workers < 2:
-            return None
-        from repro.core.parallel_merge import ParallelMergeExecutor
-
-        try:
-            return ParallelMergeExecutor(
-                self.router, self.options.workers, self.options.merge_batch_size
-            )
-        except MemoryError:
-            raise
-        except Exception as exc:  # unpicklable context, exhausted fds, ...
-            self.parallel_fallback_reason = f"{type(exc).__name__}: {exc}"
-            return None
 
     def _merge_level_swept(
         self,
-        executor,
         pairs: list[tuple[SubTree, SubTree]],
         batch_commit: bool,
     ) -> tuple[list[SubTree], int]:
         """Merge one level in phase sweeps instead of pair by pair.
 
         Three sweeps, each in pair order: (1) the stateful prepare phase
-        (H-structure pairs take the full serial path here, since their
+        (H-structure pairs take the full per-pair path here, since their
         re-pairing decisions interleave routing); (2) the pure route
-        phase — fanned out to the worker pool when ``executor`` is given,
-        in-process through :meth:`MergeRouter.route_level` otherwise
-        (which batches the level through the shared-window subsystem
-        when ``shared_windows``); (3) the stateful commit phase — every
-        pair's commit state machine advanced in lockstep by the batched
-        scheduler when ``batch_commit``, scalar pair by pair otherwise.
-        Afterwards the level's nodes are renumbered into serial creation
-        order so the result is bit-identical to the fully serial flow.
+        phase, batched across the level by :meth:`MergeRouter.route_level`;
+        (3) the stateful commit phase — every pair's commit state machine
+        advanced in lockstep by the batched scheduler when
+        ``batch_commit``, pair by pair otherwise. Afterwards the level's
+        nodes are renumbered into per-pair creation order so the tree is
+        bit-identical to merging the level pair by pair.
         """
         from repro.core.parallel_merge import (
             renumber_subtrees,
@@ -394,12 +331,7 @@ class AggressiveBufferedCTS:
             payload[2] if kind == "plan" else None
             for kind, payload in prepared
         ]
-        if executor is not None:
-            t0 = time.perf_counter()
-            routes = executor.route_plans(plans)
-            self.router.phase_seconds["route"] += time.perf_counter() - t0
-        else:
-            routes = self.router.route_level(plans)
+        routes = self.router.route_level(plans)
 
         if batch_commit:
             roots = self._commit_level_batched(prepared, routes, spans)
@@ -425,7 +357,7 @@ class AggressiveBufferedCTS:
     def _commit_level_scalar(
         self, prepared, routes, spans
     ) -> dict[int, TreeNode]:
-        """Commit a swept level pair by pair (the PR 2 protocol)."""
+        """Commit a swept level pair by pair."""
         roots: dict[int, TreeNode] = {}
         for i, (kind, payload) in enumerate(prepared):
             if kind != "plan":
@@ -444,8 +376,8 @@ class AggressiveBufferedCTS:
         Chain materialization (``commit_prepare``) happens in pair order;
         the scheduler then advances all state machines together, one
         vectorized library round per step, recording the id span every
-        node-creating advance consumed so the serial renumbering covers
-        the interleaved creation order.
+        node-creating advance consumed so the renumbering covers the
+        interleaved creation order.
         """
         from repro.core.batch_commit import BatchCommitScheduler
 
@@ -486,8 +418,8 @@ class AggressiveBufferedCTS:
     def _is_hstructure_pair(self, a: SubTree, b: SubTree) -> bool:
         """Whether this pair goes through H-structure re-pairing.
 
-        Shared by the serial and parallel level paths — the parallel path
-        must route exactly the pairs the serial flow would, or the
+        Shared by the per-pair and swept level paths — the swept path
+        must route exactly the pairs the per-pair flow would, or the
         bit-identical guarantee breaks.
         """
         return bool(self.options.hstructure and a.parts and b.parts)

@@ -7,7 +7,7 @@ work across the level instead of throwing it away per pair:
 - :class:`GridCache` owns the level's **grid tiles**: each distinct
   (window bbox, resolved pitch) key is rasterized and blocked exactly
   once — through the same :func:`~repro.core.routing_common.build_window`
-  arithmetic as the per-pair fallback, with the pitch-coarsening decision
+  arithmetic as per-pair routing, with the pitch-coarsening decision
   resolved by :func:`~repro.core.routing_common.coarsen_pitch` before any
   allocation — and every later request for the key is served the cached
   tile (mask, axes and the lazily built CSR adjacency included). Repeat
@@ -28,25 +28,24 @@ work across the level instead of throwing it away per pair:
   ``partial_curve`` call per distinct triple instead of one per pair per
   triple.
 
-- :func:`_finish_level` is the **route-finishing kernel**
-  (``CTSOptions.batch_route_finish``, default on): every pair's
+- :func:`_finish_level` is the **route-finishing kernel**: every pair's
   co-reached candidate set goes into structure-of-arrays buffers, the
   level's merge cells are picked by one segmented ranking pass
   (:func:`~repro.core.routing_common.rank_level_cells`, scalar-identical
   tie order), and all winning paths on blocked grids materialize through
   one lockstep batched distance-field descent
   (:func:`~repro.core.maze_router.descend_many`). The per-pair
-  :func:`~repro.core.maze_router.finish_maze_route` loop is retained as
-  the bit-identical fallback (``batch_route_finish=False``).
+  :func:`~repro.core.maze_router.finish_maze_route` is its twin, used by
+  per-pair routing (:func:`repro.core.maze_router.route_maze`).
 
 Bit-identity contract
 ---------------------
 
-Shared-window results are byte-identical to the per-pair fallback
-(``shared_windows=False``), serial or pooled:
+Shared-window results are byte-identical to routing each pair on its
+own (:func:`repro.core.merge_routing.route_pair`):
 
 - window geometry, pitch coarsening, blockage masking and terminal
-  snapping run through the exact same functions as the fallback;
+  snapping run through the exact same functions as per-pair routing;
 - BFS answers are per-grid engine calls either way (stacking windows
   into one block-diagonal csgraph call was measured and rejected — see
   :class:`~repro.core.maze_router.BfsEngine`), and path geometry is a
@@ -57,9 +56,7 @@ Shared-window results are byte-identical to the per-pair fallback
 
 Because every per-pair computation is replicated exactly and the batch
 axis only regroups element-wise work, results are also invariant to how
-pairs are split into batches — which is what makes the PR 2 worker pool
-compose: each worker batch-routes its task slice through a worker-local
-cache and the gathered level is still identical to the serial flow.
+pairs are split into batches.
 """
 
 from __future__ import annotations
@@ -75,7 +72,6 @@ from repro.core.maze_router import (
     both_reached,
     cells_polylines_many,
     descend_many,
-    finish_maze_route,
     plan_maze_window,
     staircase_arrays_many,
 )
@@ -108,17 +104,8 @@ class SharingStats:
     ``MAX_WINDOW_CELLS`` budget (bucket 0 = the span-derived base pitch).
 
     Every counter is an integer total, so :meth:`merge` (field-wise sum)
-    is order-independent — which is what lets the worker pool ship each
-    batch's stats back to the parent and sum them on gather without the
-    result depending on worker scheduling. The per-pair counters
-    (``windows_served``, ``pairs_routed``, ``cells_ranked``,
-    ``descent_sides``, ``descent_cells``, ``curve_points``,
-    ``expansion_lanes``, ``expansion_runs``, ``expansion_insertions``)
-    are also invariant to how a level is split into batches; the
-    per-call ones (``search_rounds``, ``curve_rounds``,
-    ``expansion_rounds``, ``finish_batches``, tile reuse) count once
-    per ``route_level`` call and so depend on the (deterministic)
-    batch split.
+    is order-independent; a checkpoint resume merges the saved counters
+    back in with it.
     """
 
     windows_served: int = 0
@@ -295,16 +282,14 @@ def _search_rounds(
 
 def _finish_level(
     primed: list[tuple[_PairSearch, SegmentTables]],
-    library: DelaySlewLibrary,
-    options: CTSOptions,
     stats: SharingStats,
     results: list[RouteResult | None],
-    builders_by_pair: list[list[PathBuilder]] | None = None,
+    builders_by_pair: list[list[PathBuilder]],
 ) -> None:
     """The level-wide route-finishing kernel (one ranking pass, batched
     descent).
 
-    The batched twin of per-pair :func:`finish_maze_route` calls: every
+    The batched twin of per-pair :func:`finish_maze_route`: every
     pair's co-reached candidate cells are collected into
     structure-of-arrays buffers (candidate flat index, both sides' step
     counts, pair segment boundaries), the profile costs are gathered with
@@ -318,10 +303,9 @@ def _finish_level(
 
     ``builders_by_pair`` (from the lockstep expansion scheduler,
     :func:`repro.core.batch_expand.expand_level`) supplies each pair's
-    two already-expanded profile builders; ``None`` builds and expands
-    them here, pair by pair — the same states either way.
+    two already-expanded profile builders.
 
-    Bit-identity with the per-pair fallback: profile evaluation runs the
+    Bit-identity with per-pair finishing: profile evaluation runs the
     same :class:`PathBuilder` state machines over the same primed tables;
     the ranking keys are gathers and element-wise maps of the same
     floats; the refinement compares (never combines) them; the descent
@@ -331,34 +315,16 @@ def _finish_level(
     """
     if not primed:
         return
-    virtual = options.virtual_drive or library.buffer_names[-1]
-    builders: list[list[PathBuilder]] = []
     cand_list: list[np.ndarray] = []
     k1_list: list[np.ndarray] = []
     k2_list: list[np.ndarray] = []
     prof1_list: list[np.ndarray] = []
     prof2_list: list[np.ndarray] = []
-    for pos, (job, tables) in enumerate(primed):
+    for (job, tables), pair_builders in zip(primed, builders_by_pair):
         dist1, dist2 = job.search.dists
-        if builders_by_pair is not None:
-            pair_builders = builders_by_pair[pos]
-        else:
-            pair_builders = [
-                PathBuilder(
-                    tables,
-                    term.base_delay,
-                    term.load_name,
-                    options.target_slew,
-                    library.buffer_names,
-                    virtual,
-                    options.sizing_lookahead,
-                )
-                for term in (job.term1, job.term2)
-            ]
         max_k = tables.n_steps - 1
         prof1_list.append(pair_builders[0].delays_view(max_k))
         prof2_list.append(pair_builders[1].delays_view(max_k))
-        builders.append(pair_builders)
         cand = np.flatnonzero(job.both.ravel())
         cand_list.append(cand)
         k1_list.append(dist1.ravel()[cand])
@@ -458,7 +424,7 @@ def _finish_level(
     lines = iter(polylines)
     for (job, _), pair_builders, cell, k1s, k2s, e1, e2, left_pts, right_pts in zip(
         primed,
-        builders,
+        builders_by_pair,
         cells,
         kk1.tolist(),
         kk2.tolist(),
@@ -502,8 +468,6 @@ def route_level(
     stage_length: float,
     blockages: list[BBox],
     cache: GridCache | None = None,
-    stats: SharingStats | None = None,
-    resilience=None,
 ) -> list[RouteResult | None]:
     """Route one topology level's merge pairs through shared windows.
 
@@ -513,30 +477,12 @@ def route_level(
     unchanged; the maze path runs the lockstep search rounds, the
     lockstep profile-expansion scheduler
     (:func:`repro.core.batch_expand.expand_level` — grouped curve
-    rounds + masked insertion sub-rounds; ``batch_expansion=False``
-    falls back to per-pair lazy expansion), then the level-wide
-    finishing kernel (:func:`_finish_level`) — or, with
-    ``batch_route_finish=False``, the retained per-pair ranking and
-    materialization (reusing the scheduler's builders when it ran).
-
-    ``resilience`` (a :class:`~repro.core.resilience.ResilienceLog`)
-    arms both kernels' degradation guards: on an unexpected exception
-    the level's pairs re-expand/re-finish one by one (bit-identical —
-    the kernels only regroup the per-pair work) and one
-    ``batch_expansion`` / ``batch_route_finish`` degradation is noted.
-    With ``None`` (pool workers) the exception propagates to the
-    supervised gather instead.
+    rounds + masked insertion sub-rounds), then the level-wide
+    finishing kernel (:func:`_finish_level`).
     """
     if cache is None:
         cache = GridCache(blockages)
-    if stats is None:
-        stats = cache.stats
-    plan = None
-    if options.fault_plan:
-        from repro.evalx.faultinject import active_plan
-
-        plan = active_plan(options.fault_plan)
-        plan.consult("shared_windows")
+    stats = cache.stats
     results: list[RouteResult | None] = [None] * len(pairs)
     if not uses_maze_router(options, blockages):
         from repro.core.profile_router import route_profile
@@ -570,52 +516,6 @@ def route_level(
         )
         primed.append((job, tables))
 
-    builders_by_pair: list[list[PathBuilder]] | None = None
-    if options.batch_expansion:
-        try:
-            if plan is not None:
-                plan.consult("batch_expansion")
-            builders_by_pair = expand_level(primed, library, options, stats)
-        except MemoryError:
-            raise
-        except Exception as exc:
-            if resilience is None:
-                raise
-            resilience.note("batch_expansion", exc)
-            # Replay per pair: the scheduler's partially primed tables
-            # hold byte-identical values (priming only regroups the
-            # evaluations), so lazy per-pair expansion — here or inside
-            # the finish below — completes them to the same profiles.
-            builders_by_pair = None
-
-    if options.batch_route_finish:
-        try:
-            if plan is not None:
-                plan.consult("route_finish")
-            _finish_level(
-                primed, library, options, stats, results, builders_by_pair
-            )
-            return results
-        except MemoryError:
-            raise
-        except Exception as exc:
-            if resilience is None:
-                raise
-            resilience.note("batch_route_finish", exc)
-            # Replay the level per pair: the kernel had not touched
-            # ``results`` for any pair it did not fully finish, and
-            # per-pair finishing recomputes every slot from the intact
-            # search state anyway.
-    for pos, (job, tables) in enumerate(primed):
-        results[job.index] = finish_maze_route(
-            job.search,
-            job.term1,
-            job.term2,
-            library,
-            options,
-            tables,
-            both=job.both,
-            builders=None if builders_by_pair is None else builders_by_pair[pos],
-        )
-        stats.pairs_routed += 1
+    builders_by_pair = expand_level(primed, library, options, stats)
+    _finish_level(primed, stats, results, builders_by_pair)
     return results

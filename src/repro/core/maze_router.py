@@ -544,8 +544,8 @@ def plan_maze_window(
 ) -> tuple[BBox, float, float]:
     """Window geometry of one maze route: (bbox, base pitch, margin).
 
-    Extracted so the shared-window level batcher and the per-pair
-    fallback derive byte-identical windows from the same arithmetic.
+    Extracted so the shared-window level batcher and per-pair routing
+    derive byte-identical windows from the same arithmetic.
     """
     dist = p1.manhattan_to(p2)
     if dist <= 0:
@@ -727,46 +727,29 @@ def finish_maze_route(
     term2: RouteTerminal,
     library: DelaySlewLibrary,
     options: CTSOptions,
-    tables: SegmentTables | None = None,
-    both: np.ndarray | None = None,
-    builders: list[PathBuilder] | None = None,
 ) -> RouteResult:
     """Profile evaluation, cell ranking and path materialization.
 
-    The tail of one maze route, shared by the per-pair path and the
-    level batcher. ``tables`` may be a pre-primed
-    :class:`~repro.core.segment_builder.SegmentTables` (the batcher fills
-    it with vectorized curve rounds per level; its ``n_steps`` then
-    carries the co-reached maximum so nothing is recomputed),
-    ``both`` the caller's co-reached mask, and ``builders`` the pair's
-    two profile builders when the lockstep expansion scheduler
-    (:mod:`repro.core.batch_expand`) already expanded them; when
-    omitted each is computed here, to the same values.
+    The tail of one per-pair maze route; the per-pair twin of the level
+    batcher's finishing kernel (:func:`repro.core.grid_cache._finish_level`).
     """
     grid, pitch = search.grid, search.pitch
     dist1, dist2 = search.dists
-    if both is None:
-        both = (dist1 != _UNREACHED) & (dist2 != _UNREACHED)
-
-    if tables is None:
-        max_k = int(max(dist1[both].max(), dist2[both].max()))
-        tables = SegmentTables(library, pitch, max_k + 1, options.target_slew)
-    else:
-        max_k = tables.n_steps - 1
-    if builders is None:
-        builders = []
-        for term in (term1, term2):
-            builders.append(
-                PathBuilder(
-                    tables,
-                    term.base_delay,
-                    term.load_name,
-                    options.target_slew,
-                    library.buffer_names,
-                    options.virtual_drive or library.buffer_names[-1],
-                    options.sizing_lookahead,
-                )
-            )
+    both = (dist1 != _UNREACHED) & (dist2 != _UNREACHED)
+    max_k = int(max(dist1[both].max(), dist2[both].max()))
+    tables = SegmentTables(library, pitch, max_k + 1, options.target_slew)
+    builders = [
+        PathBuilder(
+            tables,
+            term.base_delay,
+            term.load_name,
+            options.target_slew,
+            library.buffer_names,
+            options.virtual_drive or library.buffer_names[-1],
+            options.sizing_lookahead,
+        )
+        for term in (term1, term2)
+    ]
     prof1 = builders[0].delays_up_to(max_k)
     prof2 = builders[1].delays_up_to(max_k)
 
@@ -823,8 +806,7 @@ def route_maze(
 
     ``grid_provider`` (``(bbox, pitch) -> (grid, pitch)``) lets the
     shared-window subsystem serve cached tiles; ``None`` rasterizes a
-    private window per call (the per-pair fallback). Results are
-    identical either way.
+    private window per call. Results are identical either way.
     """
     bbox, pitch, margin = plan_maze_window(
         term1.point, term2.point, options, stage_length

@@ -40,9 +40,7 @@ class RouteTerminal:
 
     Routing itself only reads the scalar fields (point, delays, load
     type); ``node`` is carried along so the commit phase can materialize
-    the buffer chain onto the right sub-tree. :meth:`detached` drops the
-    node reference, which is what makes a terminal cheap to pickle across
-    a process boundary.
+    the buffer chain onto the right sub-tree.
     """
 
     node: TreeNode | None
@@ -50,12 +48,6 @@ class RouteTerminal:
     base_delay: float  # max delay from this point to the sub-tree's sinks
     min_delay: float  # min delay (for skew bookkeeping)
     load_name: str  # library load type approximating the root's stage cap
-
-    def detached(self) -> "RouteTerminal":
-        """Node-free copy (everything the pure route phase needs)."""
-        return RouteTerminal(
-            None, self.point, self.base_delay, self.min_delay, self.load_name
-        )
 
 
 @dataclass
@@ -164,8 +156,8 @@ def coarsen_pitch(bbox: BBox, pitch: float, cell_cap: int = MAX_WINDOW_CELLS) ->
 
     Replicates (float operation for float operation) the seed's loop of
     building a grid and coarsening 1.5x while the cell count exceeds the
-    cap — without allocating the thrown-away grids. Both the per-pair
-    fallback and the shared-window tile cache resolve window pitches
+    cap — without allocating the thrown-away grids. Both private
+    per-pair windows and the shared-window tile cache resolve window pitches
     through this one function, so their coarsening decisions are
     identical by construction.
     """
@@ -205,7 +197,7 @@ def build_window(
     blockages: list[BBox],
     cell_cap: int = MAX_WINDOW_CELLS,
 ):
-    """Rasterize + block one routing window (the per-pair fallback path).
+    """Rasterize + block one private routing window.
 
     Returns ``(grid, resolved_pitch)``. The shared-window subsystem
     (:class:`repro.core.grid_cache.GridCache`) wraps this same function

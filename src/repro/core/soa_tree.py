@@ -31,7 +31,7 @@ Three commit-phase kernels read the mirror:
   straight from the columns in the exact preorder row format of
   :mod:`repro.core.checkpoint`.
 
-Bit-identity with the object-walk fallback rests on the established
+Bit-identity with the object walks rests on the established
 facts: ``predict_many``/``branch_component_many``/``branch_slews_many``
 perform the scalar evaluators' float ops element-wise; memoized bounds
 and caps are exact functions of their cache key, so fill *order* is
@@ -40,12 +40,8 @@ cap fold replays the object walk's buffer-code sequence in its exact
 order (cached per node as ``bytes`` — DFS-last-child-first sequences
 compose by concatenation), so the float sum is the object walk's sum.
 
-Every kernel is a CON3xx-guarded fast path: any exception (including a
-recorder hook having previously failed) degrades this mirror
-permanently for the run — ``resilience.note("soa_commit", exc)`` — and
-the caller falls back to the bit-identical object walk. ``MemoryError``
-is re-raised, never swallowed: an OOM must surface to the jobs
-watchdog, not morph into a silent fallback retry.
+The mirror is deterministic bookkeeping: an exception in a recorder
+hook or a kernel is a bug and propagates to the caller.
 """
 
 from __future__ import annotations
@@ -135,20 +131,10 @@ class SoaTree:
 
     Install with :func:`repro.tree.nodes.set_tree_recorder` for the
     duration of one synthesis run; the recorder hooks echo every node
-    creation / attach / detach into the columns. Hook failures never
-    raise into tree surgery — they taint the mirror and the next kernel
-    boundary records one ``soa_commit`` degradation and falls back.
+    creation / attach / detach into the columns.
     """
 
-    def __init__(self, resilience=None, fault_plan: str = "") -> None:
-        self.resilience = resilience
-        self.degraded = False
-        self._hook_error: Exception | None = None
-        self._plan = None
-        if fault_plan:
-            from repro.evalx.faultinject import active_plan
-
-            self._plan = active_plan(fault_plan)
+    def __init__(self) -> None:
         self._base: int | None = None
         self._capacity = 0
         self._used = 0
@@ -254,134 +240,83 @@ class SoaTree:
         return code
 
     # ------------------------------------------------------------------
-    # Recorder hooks (must never raise into tree surgery)
+    # Recorder hooks
     # ------------------------------------------------------------------
 
     def on_create(self, node) -> None:
-        if self._hook_error is not None:
-            return
-        try:
-            i = self._ensure(node.id)
-            self.kind[i] = _CODE_OF[node.kind]
-            loc = node.location
-            self.x[i] = loc.x
-            self.y[i] = loc.y
-            self.cap[i] = node.cap
-            if node.buffer is not None:
-                self.buf_code[i] = self._buffer_code(node.buffer)
-            self.names[i] = node.name
-            self.nodes[i] = node
-        except MemoryError:
-            raise
-        except Exception as exc:
-            self._hook_error = exc
+        i = self._ensure(node.id)
+        self.kind[i] = _CODE_OF[node.kind]
+        loc = node.location
+        self.x[i] = loc.x
+        self.y[i] = loc.y
+        self.cap[i] = node.cap
+        if node.buffer is not None:
+            self.buf_code[i] = self._buffer_code(node.buffer)
+        self.names[i] = node.name
+        self.nodes[i] = node
+
+    def _link_rows(self, parent, child, what: str) -> tuple[int, int]:
+        base = self._base
+        pi = parent.id - base
+        ci = child.id - base
+        if not (
+            0 <= pi < self._used
+            and 0 <= ci < self._used
+            and self.nodes[pi] is parent
+            and self.nodes[ci] is child
+        ):
+            raise RuntimeError(f"{what} of a node the mirror never saw")
+        return pi, ci
 
     def on_attach(self, parent, child) -> None:
-        if self._hook_error is not None:
-            return
-        try:
-            base = self._base
-            pi = parent.id - base
-            ci = child.id - base
-            if not (
-                0 <= pi < self._used
-                and 0 <= ci < self._used
-                and self.nodes[pi] is parent
-                and self.nodes[ci] is child
-            ):
-                raise RuntimeError("attach of a node the mirror never saw")
-            self.parent[ci] = parent.id
-            self.wire[ci] = child.wire_to_parent
-            last = int(self.last_child[pi])
-            if last < 0:
-                self.first_child[pi] = child.id
-            else:
-                self.next_sib[last - base] = child.id
-                self.prev_sib[ci] = last
-            self.last_child[pi] = child.id
-            self.n_children[pi] += 1
-        except MemoryError:
-            raise
-        except Exception as exc:
-            self._hook_error = exc
+        pi, ci = self._link_rows(parent, child, "attach")
+        self.parent[ci] = parent.id
+        self.wire[ci] = child.wire_to_parent
+        last = int(self.last_child[pi])
+        if last < 0:
+            self.first_child[pi] = child.id
+        else:
+            self.next_sib[last - self._base] = child.id
+            self.prev_sib[ci] = last
+        self.last_child[pi] = child.id
+        self.n_children[pi] += 1
 
     def on_detach(self, parent, child) -> None:
-        if self._hook_error is not None:
-            return
-        try:
-            base = self._base
-            pi = parent.id - base
-            ci = child.id - base
-            if not (
-                0 <= pi < self._used
-                and 0 <= ci < self._used
-                and self.nodes[pi] is parent
-                and self.nodes[ci] is child
-            ):
-                raise RuntimeError("detach of a node the mirror never saw")
-            prev = int(self.prev_sib[ci])
-            nxt = int(self.next_sib[ci])
-            if prev < 0:
-                self.first_child[pi] = nxt
-            else:
-                self.next_sib[prev - base] = nxt
-            if nxt < 0:
-                self.last_child[pi] = prev
-            else:
-                self.prev_sib[nxt - base] = prev
-            self.parent[ci] = -1
-            self.prev_sib[ci] = -1
-            self.next_sib[ci] = -1
-            self.wire[ci] = 0.0
-            self.n_children[pi] -= 1
-        except MemoryError:
-            raise
-        except Exception as exc:
-            self._hook_error = exc
-
-    def seed(self, nodes) -> None:
-        """Mirror nodes that already existed before the recorder install
-        (the instance's source/sink nodes)."""
-        for node in nodes:
-            self.on_create(node)
-
-    # ------------------------------------------------------------------
-    # Kernel guard
-    # ------------------------------------------------------------------
-
-    def _enter_kernel(self) -> None:
-        """Raise inside a kernel's guarded scope if the mirror is unfit."""
-        if self._hook_error is not None:
-            raise self._hook_error
-        if self._plan is not None:
-            self._plan.consult("soa_commit")
+        pi, ci = self._link_rows(parent, child, "detach")
+        base = self._base
+        prev = int(self.prev_sib[ci])
+        nxt = int(self.next_sib[ci])
+        if prev < 0:
+            self.first_child[pi] = nxt
+        else:
+            self.next_sib[prev - base] = nxt
+        if nxt < 0:
+            self.last_child[pi] = prev
+        else:
+            self.prev_sib[nxt - base] = prev
+        self.parent[ci] = -1
+        self.prev_sib[ci] = -1
+        self.next_sib[ci] = -1
+        self.wire[ci] = 0.0
+        self.n_children[pi] -= 1
 
     # ------------------------------------------------------------------
     # Renumbering
     # ------------------------------------------------------------------
 
     def remap_ids(self, mapping: dict[int, int]) -> None:
-        """Follow a serial-order renumbering (see ``parallel_merge``).
+        """Follow a per-pair-order renumbering (see ``parallel_merge``).
 
         The mapping is an identity-dropped permutation over the level's
         consumed id spans (keys set == values set), so scattering every
         mapped row to its target covers exactly the moved positions.
         Garbage (unreachable) nodes are scattered too — their objects
         keep the old id, so any later lookup fails the identity check
-        and falls back, which is correct because they are never queried.
+        and takes the object walk, which is correct because they are
+        never queried.
         """
-        if self.degraded or not mapping or self._base is None:
+        if not mapping or self._base is None:
             return
-        try:
-            self._remap(mapping)
-        except MemoryError:
-            raise
-        except Exception as exc:
-            self.degraded = True
-            if self.resilience is not None:
-                self.resilience.note("soa_commit", exc)
-
-    def _remap(self, mapping: dict[int, int]) -> None:
         base = self._base
         used = self._used
         n = len(mapping)
@@ -511,29 +446,14 @@ class SoaTree:
     # Kernel 1: level-wide bounds-bucket prefill
     # ------------------------------------------------------------------
 
-    def prefill_bounds(self, engine, jobs) -> bool:
-        """Fill missing bounds buckets from the columns; False = fall back.
+    def prefill_bounds(self, engine, jobs) -> None:
+        """Fill missing bounds buckets from the columns.
 
         Drop-in for the miss path of ``subtree_bounds_many``: same jobs,
         same caches, bit-identical stored values. Jobs whose stage shape
         is not mirrored or not flat are delegated to the object walk, so
-        a True return always means *every* requested bucket is cached.
+        afterwards *every* requested bucket is cached.
         """
-        if self.degraded:
-            return False
-        try:
-            self._enter_kernel()
-            self._prefill(engine, jobs)
-            return True
-        except MemoryError:
-            raise
-        except Exception as exc:
-            self.degraded = True
-            if self.resilience is not None:
-                self.resilience.note("soa_commit", exc)
-            return False
-
-    def _prefill(self, engine, jobs) -> None:
         # Iterative wavefront: each pass groups and fit-evaluates one
         # depth of jobs, and rows ending in buffers enqueue their
         # children's missing buckets as the next pass (strictly deeper,
@@ -905,7 +825,7 @@ class SoaTree:
     # Kernel 2: batched forced-stage-buffer decisions
     # ------------------------------------------------------------------
 
-    def stage_drivers(self, router, merges) -> list | None:
+    def stage_drivers(self, router, merges) -> list:
         """Choose the stage driver (or None) for each finished merge.
 
         Batched twin of the decision half of
@@ -915,23 +835,8 @@ class SoaTree:
         byte-cached buffer-code sequences, drivers resolve in lockstep
         ``branch_slews_many`` rounds — one per buffer name over the
         still-unresolved merges, which evaluates exactly the (name,
-        merge) pairs the scalar loop would. Returns None to make the
-        caller fall back to the scalar method per merge.
+        merge) pairs the scalar loop would.
         """
-        if self.degraded:
-            return None
-        try:
-            self._enter_kernel()
-            return self._stage_drivers(router, merges)
-        except MemoryError:
-            raise
-        except Exception as exc:
-            self.degraded = True
-            if self.resilience is not None:
-                self.resilience.note("soa_commit", exc)
-            return None
-
-    def _stage_drivers(self, router, merges) -> list:
         engine = router.engine
         cap_cache = engine._cap_cache
         max_cap = router.max_stage_cap
@@ -1060,52 +965,27 @@ class SoaTree:
         used by the binary-search probe evaluators: the buffer input
         caps below ``node`` fold from the byte-cached code sequence in
         the exact object ``walk()`` order, so the float sum is
-        bit-identical. Returns None (BUFFER/SINK roots, or after
-        degradation) to make the caller take the object path.
+        bit-identical. Returns None for BUFFER/SINK roots, which are
+        trivial on the objects.
         """
-        if self.degraded:
+        kind = node.kind
+        if kind is NodeKind.BUFFER or kind is NodeKind.SINK:
             return None
-        try:
-            self._enter_kernel()
-            kind = node.kind
-            if kind is NodeKind.BUFFER or kind is NodeKind.SINK:
-                return None  # trivial on objects; nothing to skip
-            cached = engine._cap_cache.get(node.id)
-            if cached is not None:
-                return cached
-            cap = self._collapsed_cap(node, engine)
-            engine._cap_cache[node.id] = cap
-            return cap
-        except MemoryError:
-            raise
-        except Exception as exc:
-            self.degraded = True
-            if self.resilience is not None:
-                self.resilience.note("soa_commit", exc)
-            return None
+        cached = engine._cap_cache.get(node.id)
+        if cached is not None:
+            return cached
+        cap = self._collapsed_cap(node, engine)
+        engine._cap_cache[node.id] = cap
+        return cap
 
     # ------------------------------------------------------------------
     # Kernel 3: checkpoint frame rows
     # ------------------------------------------------------------------
 
-    def checkpoint_rows(self, root) -> list | None:
+    def checkpoint_rows(self, root) -> list:
         """Preorder node rows of ``root``'s subtree for a checkpoint
-        frame, identical to ``checkpoint._encode_subtree``'s rows; None
-        to make the caller encode from the objects."""
-        if self.degraded:
-            return None
-        try:
-            self._enter_kernel()
-            return self._checkpoint_rows(root)
-        except MemoryError:
-            raise
-        except Exception as exc:
-            self.degraded = True
-            if self.resilience is not None:
-                self.resilience.note("soa_commit", exc)
-            return None
-
-    def _checkpoint_rows(self, root) -> list:
+        frame, identical to the object encoding in
+        ``checkpoint._encode_subtree``."""
         if self._index_of(root) < 0:
             raise RuntimeError("checkpoint root is not mirrored")
         base = self._base

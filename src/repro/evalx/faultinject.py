@@ -1,24 +1,13 @@
-"""Deterministic fault injection for the resilience layer.
+"""Deterministic fault injection for the environmental resilience layer.
 
-A fault plan is a comma list of ``site:index:mode`` specs (env
-``REPRO_FAULT_PLAN``, or ``CTSOptions.fault_plan``), e.g.::
+A fault plan is a comma list of ``site:index:mode`` specs
+(``CTSOptions.fault_plan``), e.g.::
 
-    worker_batch:2:crash,batch_commit:1:raise,route_finish:0:timeout
+    checkpoint_torn:1:torn,checkpoint:1:halt
 
-Sites are the supervised/guarded points of the synthesis flow:
+Sites are the points where the environment can fail a synthesis run:
 
 ==================  ====================================================
-``worker_batch``    a pool worker about to route one shipped batch;
-                    ``index`` is the batch's global submission ordinal
-                    (assigned by the parent), so firing is deterministic
-                    regardless of worker scheduling — and a retried
-                    batch deterministically fails again
-``batch_commit``    one vectorized lockstep commit round; ``index``
-                    counts vectorized rounds per process
-``shared_windows``  one shared-window (maze) ``route_level`` call
-``batch_expansion``  one lockstep profile-expansion scheduler call
-                    (the level's batched ``PathBuilder`` expansion)
-``route_finish``    one level-batched route-finishing kernel call
 ``checkpoint``      one per-level checkpoint write (``halt`` here
                     simulates a kill at a level boundary)
 ``job_hang``        the level-loop heartbeat pulse; ``hang`` here stops
@@ -33,47 +22,31 @@ Sites are the supervised/guarded points of the synthesis flow:
                     and skip
 ==================  ====================================================
 
-Modes: ``raise`` throws :class:`FaultInjected`; ``crash`` kills the
-process with ``os._exit`` (the parent sees ``BrokenProcessPool``);
-``timeout`` sleeps long enough that both the supervised gather *and*
-its doubled backoff retry give up (then proceeds normally — the stale
-result is never read); ``halt`` throws :class:`SynthesisHalted`;
-``hang`` parks the process in a very long sleep (only an external
-watchdog ends it); ``balloon`` allocates :data:`BALLOON_BYTES` of
-touched memory and then hangs holding it; ``torn`` raises nothing —
-:meth:`FaultPlan.consult` returns the mode string and the *call site*
-implements the corruption (only the checkpoint writer does).
+Modes: ``raise`` throws :class:`FaultInjected`; ``halt`` throws
+:class:`SynthesisHalted`; ``hang`` parks the process in a very long
+sleep (only an external watchdog ends it); ``balloon`` allocates
+:data:`BALLOON_BYTES` of touched memory and then hangs holding it;
+``torn`` raises nothing — :meth:`FaultPlan.consult` returns the mode
+string and the *call site* implements the corruption (only the
+checkpoint writer does).
 
-Counter sites fire each spec at most once per process; explicit-ordinal
-sites (``worker_batch``) re-fire on every visit with the matching
-ordinal. Plans are per-process singletons keyed by their text
-(:func:`active_plan`), so a fork-spawned worker starts from the parent's
-state at fork time but counts its own visits afterwards.
+Each site numbers its visits per process and fires each spec at most
+once. Plans are per-process singletons keyed by their text
+(:func:`active_plan`), so every consult site of a run shares one set of
+counters.
 
 This module deliberately imports nothing from the rest of the package:
-the kernel guards import it lazily (and only when a plan is set), so the
-clean path pays nothing and no import cycle can form.
+the flow imports it lazily (and only when a plan is set), so the clean
+path pays nothing and no import cycle can form.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
-SITES = (
-    "worker_batch",
-    "batch_commit",
-    "shared_windows",
-    "batch_expansion",
-    "route_finish",
-    "checkpoint",
-    "job_hang",
-    "job_oom",
-    "checkpoint_torn",
-    "soa_commit",
-)
-MODES = ("crash", "raise", "timeout", "halt", "hang", "balloon", "torn", "oom")
+SITES = ("checkpoint", "job_hang", "job_oom", "checkpoint_torn")
+MODES = ("raise", "halt", "hang", "balloon", "torn")
 
 #: ``hang``/``balloon`` park the process this long; supervised runs are
 #: SIGKILLed by their watchdog long before the sleep ends, and SIGKILL
@@ -81,7 +54,7 @@ MODES = ("crash", "raise", "timeout", "halt", "hang", "balloon", "torn", "oom")
 HANG_SECONDS = 3600.0
 
 #: Touched RSS a ``balloon`` fault pins (zero-filled, so every page is
-#: resident). Sized to dwarf a worker's baseline footprint while staying
+#: resident). Sized to dwarf a job's baseline footprint while staying
 #: harmless on CI runners.
 BALLOON_BYTES = 384 * 1024 * 1024
 
@@ -97,10 +70,10 @@ class FaultInjected(RuntimeError):
 class SynthesisHalted(BaseException):
     """Raised by a ``halt`` fault to simulate a kill at a level boundary.
 
-    A ``BaseException`` on purpose: no degradation guard (they catch
-    ``Exception``) may swallow it — it must unwind the whole synthesis
-    the way SIGKILL would end the process, leaving the checkpoint
-    directory as the only survivor.
+    A ``BaseException`` on purpose: no ``except Exception`` handler may
+    swallow it — it must unwind the whole synthesis the way SIGKILL
+    would end the process, leaving the checkpoint directory as the only
+    survivor.
     """
 
 
@@ -119,7 +92,6 @@ class FaultPlan:
     def __init__(self, specs: tuple[FaultSpec, ...]):
         self.specs = specs
         self._counts: dict[str, int] = {}
-        self._fired: set[FaultSpec] = set()
 
     @classmethod
     def parse(cls, text: str) -> "FaultPlan":
@@ -134,11 +106,6 @@ class FaultPlan:
                     f"bad fault spec {part!r}: expected site:index:mode"
                 )
             site, index_text, mode = pieces
-            if site not in SITES:
-                raise ValueError(
-                    f"bad fault spec {part!r}: unknown site {site!r}"
-                    f" (one of {', '.join(SITES)})"
-                )
             if mode not in MODES:
                 raise ValueError(
                     f"bad fault spec {part!r}: unknown mode {mode!r}"
@@ -152,48 +119,34 @@ class FaultPlan:
                 ) from None
             if index < 0:
                 raise ValueError(f"bad fault spec {part!r}: index must be >= 0")
+            if site not in SITES:
+                raise ValueError(
+                    f"bad fault spec {part!r}: unknown site {site!r}"
+                    f" (one of {', '.join(SITES)})"
+                )
             specs.append(FaultSpec(site, index, mode))
         return cls(tuple(specs))
 
-    def consult(
-        self, site: str, ordinal: int | None = None, sleep_s: float = 1.0
-    ) -> str | None:
+    def consult(self, site: str) -> str | None:
         """Fire any spec matching this visit of ``site``.
 
-        Counter sites (``ordinal`` None) number their visits per process
-        and fire each spec at most once; explicit-ordinal sites pass the
-        visit number in and re-fire on every matching visit. Returns the
-        mode of a fired *effect* spec (``timeout``/``hang``/``balloon``
-        after their sleep, ``torn`` immediately) so the call site can
-        implement corruption modes itself; raising/exiting modes never
+        Visits are numbered per process, so each spec fires at most
+        once. Returns the mode of a fired *effect* spec (``hang`` /
+        ``balloon`` after their sleep, ``torn`` immediately) so the call
+        site can implement corruption modes itself; raising modes never
         return.
         """
-        if ordinal is None:
-            n = self._counts.get(site, 0)
-            self._counts[site] = n + 1
-        else:
-            n = ordinal
+        n = self._counts.get(site, 0)
+        self._counts[site] = n + 1
         fired: str | None = None
         for spec in self.specs:
-            if spec.site != site or spec.index != n:
-                continue
-            if ordinal is None:
-                if spec in self._fired:
-                    continue
-                self._fired.add(spec)
-            fired = self._trigger(spec, sleep_s) or fired
+            if spec.site == site and spec.index == n:
+                fired = self._trigger(spec) or fired
         return fired
 
     @staticmethod
-    def _trigger(spec: FaultSpec, sleep_s: float) -> str | None:
+    def _trigger(spec: FaultSpec) -> str | None:
         global _ballast
-        if spec.mode == "crash":
-            os._exit(17)
-        if spec.mode == "timeout":
-            # Sleep past the gather timeout AND the doubled backoff
-            # retry, then return normally; the parent stopped listening.
-            time.sleep(sleep_s)
-            return "timeout"
         if spec.mode == "hang":
             # Stop making progress (and stamping heartbeats) without
             # exiting: only a supervisor's kill ends this.
@@ -211,13 +164,6 @@ class FaultPlan:
         if spec.mode == "halt":
             raise SynthesisHalted(
                 f"injected halt at {spec.site}:{spec.index}"
-            )
-        if spec.mode == "oom":
-            # A real allocation failure. Degradation guards must NOT
-            # swallow this — every one re-raises MemoryError, so the
-            # fault unwinds the synthesis even in non-strict runs.
-            raise MemoryError(
-                f"injected oom at {spec.site}:{spec.index}"
             )
         raise FaultInjected(
             f"injected fault {spec.site}:{spec.index}:{spec.mode}"

@@ -156,7 +156,6 @@ def table_5_3_rows(
     full: bool | None = None,
     scale: int = DEFAULT_SCALE,
     benchmarks: list[str] | None = None,
-    workers: int = 0,
 ) -> list[dict]:
     """Reproduce Table 5.3 (H-structure re-estimation and correction)."""
     suite = {i.name: i for i in gsrc_suite() + ispd_suite()}
@@ -166,7 +165,7 @@ def table_5_3_rows(
         inst = scale_instance(suite[name], full, scale)
         runs = {}
         for mode in (None, "reestimate", "correct"):
-            options = CTSOptions(hstructure=mode, workers=workers)
+            options = CTSOptions(hstructure=mode)
             runs[mode] = run_aggressive(inst, options=options)
         base_skew = runs[None].metrics.skew
         row = {

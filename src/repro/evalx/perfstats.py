@@ -8,42 +8,8 @@ full synthesis runs with two engines:
   blocking, bucketed matching, compiled fit evaluators);
 - ``reference``: the retained seed implementations (cell-by-cell
   ``block``, queue BFS, O(n^2) matching, interpreted fit evaluation)
-  running inside the same flow;
-- ``parallel``: the vectorized engine with the per-pair route phase
-  fanned out to a ``PARALLEL_WORKERS``-process pool (bit-identical
-  trees; timed at sizes >= ``PARALLEL_MIN_SINKS`` where batching can
-  amortize the IPC);
-- ``scalar-commit``: the vectorized engine with the lockstep batched
-  commit phase disabled (``batch_commit=False``) — the scalar fallback
-  the batched commit is measured against (bit-identical trees; timed at
-  sizes >= ``BATCH_COMMIT_MIN_SINKS``);
-- ``per-pair-windows``: the vectorized engine with shared-window routing
-  disabled (``shared_windows=False``) — every merge rasterizes and
-  searches a private maze window, the fallback the level-scoped grid
-  cache + cross-pair batcher is measured against (bit-identical trees;
-  timed at sizes >= ``SHARED_WINDOWS_MIN_SINKS``, and the source of the
-  ``route_speedups`` rows);
-- ``per-pair-finish``: the vectorized engine with the level-batched
-  route-finishing kernel disabled (``batch_route_finish=False``) —
-  shared windows stay on but every maze route ranks its candidate cells
-  and materializes its paths pair by pair, the fallback the level-wide
-  ranking/descent kernel is measured against (bit-identical trees; timed
-  on the blockage scenarios at sizes >= ``ROUTE_FINISH_MIN_SINKS``, the
-  source of the ``route_finish_speedups`` rows);
-- ``per-pair-expansion``: the vectorized engine with the lockstep
-  profile-expansion scheduler disabled (``batch_expansion=False``) —
-  every pair expands its delay profiles through the lazy per-pair
-  ``PathBuilder`` loop, the fallback the level-wide expansion scheduler
-  is measured against (bit-identical trees; timed on the blockage
-  scenarios at sizes >= ``EXPANSION_MIN_SINKS``, the source of the
-  ``expansion_speedups`` rows);
-- ``per-object-commit``: the vectorized engine with the
-  structure-of-arrays tree mirror disabled (``soa_commit=False``) —
-  bounds-bucket prefill, forced-stage-buffer decisions and checkpoint
-  frames walk node objects per pair, the fallback the SoA columns are
-  measured against (bit-identical trees; timed at sizes >=
-  ``SOA_COMMIT_MIN_SINKS``, the source of the ``soa_commit_speedups``
-  rows).
+  running inside the per-pair flow — every level merged pair by pair
+  on the object walks, the equivalence oracle of the batched kernels.
 
 ``collect_scaling`` produces a JSON-ready payload with per-scenario
 seconds and reference/vectorized speedups; ``write_scaling_json`` emits
@@ -83,34 +49,6 @@ from repro.geom.point import Point
 
 #: The canonical scaling ladder (sinks per scenario).
 SCALING_SIZES = (50, 200, 1000, 4000)
-
-#: Worker count for the parallel merge-routing rows of the bench.
-PARALLEL_WORKERS = 2
-
-#: Smallest ladder size at which serial-vs-parallel is timed (below this
-#: the per-merge cost is too small for process-pool IPC to amortize).
-PARALLEL_MIN_SINKS = 1000
-
-#: Smallest ladder size at which batched-vs-scalar commit is timed.
-BATCH_COMMIT_MIN_SINKS = 1000
-
-#: Smallest ladder size at which shared-vs-per-pair windows is timed.
-SHARED_WINDOWS_MIN_SINKS = 1000
-
-#: Smallest ladder size at which batched-vs-per-pair route finishing is
-#: timed (blockage scenarios only — the profile router has no maze
-#: candidates to rank, so the no-blockage ladder never enters the kernel).
-ROUTE_FINISH_MIN_SINKS = 1000
-
-#: Smallest ladder size at which lockstep-vs-per-pair profile expansion
-#: is timed (blockage scenarios, where the maze route phase the scheduler
-#: accelerates dominates; below this the per-level lane counts are too
-#: small for the grouped rounds to amortize).
-EXPANSION_MIN_SINKS = 1000
-
-#: Smallest ladder size at which SoA-vs-object commit is timed (the
-#: mirror's level-wide gathers need enough rows per level to amortize).
-SOA_COMMIT_MIN_SINKS = 1000
 
 #: Sink density: die edge grows with sqrt(n) so merge spans stay realistic.
 AREA_PER_SQRT_SINK = 1200.0
@@ -194,11 +132,13 @@ def _ref_single_wire_delay_slew(self, drive, load, input_slew, length, include):
 def reference_engine():
     """Swap in the retained seed implementations for baseline timing.
 
-    Patches the grid kernels, the matching, the path builder/tables, the
+    Patches the grid kernels, the matching, the level-size gates (so
+    every level merges pair by pair), the path builder/tables, the
     fit-evaluator compile flag, and the partial library queries (the seed
     always evaluated the full fit set per component); the caller must
-    construct its CTS (and hence its library) inside this context so the
-    interpreted evaluators take effect.
+    construct its CTS (and hence its library) inside this context and
+    run :meth:`AggressiveBufferedCTS._synthesize` (no SoA mirror) so the
+    whole per-pair oracle takes effect.
     """
     builder_mods = (maze_router_mod, merge_routing_mod, profile_router_mod)
     lib_partials = (
@@ -212,6 +152,8 @@ def reference_engine():
         MazeGrid.bfs_many,
         MazeGrid.block,
         cts_mod.greedy_matching,
+        cts_mod.BATCH_COMMIT_MIN_PAIRS,
+        cts_mod.SHARED_WINDOWS_MIN_PAIRS,
         fitting.COMPILE_SCALAR,
         [(m.PathBuilder, m.SegmentTables) for m in builder_mods],
         [getattr(DelaySlewLibrary, name) for name in lib_partials],
@@ -226,6 +168,8 @@ def reference_engine():
     # seed's cost faithfully.
     routing_common_mod.covering_blockages = lambda grid, blockages: list(blockages)
     cts_mod.greedy_matching = topology.greedy_matching_reference
+    # The per-pair flow: no level is large enough to sweep.
+    cts_mod.BATCH_COMMIT_MIN_PAIRS = cts_mod.SHARED_WINDOWS_MIN_PAIRS = 1 << 62
     fitting.COMPILE_SCALAR = False
     # The default-library cache holds fits built with compiled evaluators;
     # drop it so the baseline constructs interpreted ones.
@@ -245,6 +189,8 @@ def reference_engine():
             MazeGrid.bfs_many,
             MazeGrid.block,
             cts_mod.greedy_matching,
+            cts_mod.BATCH_COMMIT_MIN_PAIRS,
+            cts_mod.SHARED_WINDOWS_MIN_PAIRS,
             fitting.COMPILE_SCALAR,
             builders,
             partials,
@@ -271,95 +217,19 @@ def time_synthesis(
     ``repeats`` takes the fastest of N runs (noise on shared machines is
     strictly additive, so the minimum is the honest estimate).
     """
+    if engine not in ("vectorized", "reference"):
+        raise ValueError(f"unknown engine {engine!r}")
     sinks, source, blockages = scaling_scenario(n_sinks, with_blockages, seed)
-    # Every engine pins its knobs explicitly so REPRO_WORKERS /
-    # REPRO_BATCH_COMMIT / REPRO_SHARED_WINDOWS in the environment cannot
-    # silently change what a row measures: serial rows must stay serial
-    # (the reference engine's monkeypatches would not propagate into pool
-    # workers), the reference/scalar-commit/per-pair-windows rows exist
-    # to measure their respective subsystem OFF, and the
-    # vectorized/parallel rows to measure everything ON.
-    if engine == "parallel":
-        options = CTSOptions(
-            workers=PARALLEL_WORKERS,
-            batch_commit=True,
-            shared_windows=True,
-            batch_route_finish=True,
-            batch_expansion=True,
-            soa_commit=True,
-        )
-    elif engine == "reference":
-        options = CTSOptions(
-            workers=0,
-            batch_commit=False,
-            shared_windows=False,
-            batch_route_finish=False,
-            batch_expansion=False,
-            soa_commit=False,
-        )
-    elif engine == "scalar-commit":
-        options = CTSOptions(
-            workers=0,
-            batch_commit=False,
-            shared_windows=True,
-            batch_route_finish=True,
-            batch_expansion=True,
-            soa_commit=True,
-        )
-    elif engine == "per-pair-windows":
-        options = CTSOptions(
-            workers=0,
-            batch_commit=True,
-            shared_windows=False,
-            batch_route_finish=True,
-            batch_expansion=True,
-            soa_commit=True,
-        )
-    elif engine == "per-pair-finish":
-        options = CTSOptions(
-            workers=0,
-            batch_commit=True,
-            shared_windows=True,
-            batch_route_finish=False,
-            batch_expansion=True,
-            soa_commit=True,
-        )
-    elif engine == "per-pair-expansion":
-        options = CTSOptions(
-            workers=0,
-            batch_commit=True,
-            shared_windows=True,
-            batch_route_finish=True,
-            batch_expansion=False,
-            soa_commit=True,
-        )
-    elif engine == "per-object-commit":
-        options = CTSOptions(
-            workers=0,
-            batch_commit=True,
-            shared_windows=True,
-            batch_route_finish=True,
-            batch_expansion=True,
-            soa_commit=False,
-        )
-    else:
-        options = CTSOptions(
-            workers=0,
-            batch_commit=True,
-            shared_windows=True,
-            batch_route_finish=True,
-            batch_expansion=True,
-            soa_commit=True,
-        )
 
     def run() -> dict:
         best = None
         for _ in range(max(1, repeats)):
-            cts = AggressiveBufferedCTS(
-                options=options, blockages=blockages or None
+            cts = AggressiveBufferedCTS(blockages=blockages or None)
+            synthesize = (
+                cts._synthesize if engine == "reference" else cts.synthesize
             )
             t0 = time.perf_counter()
-            result = cts.synthesize(sinks, source)
+            result = synthesize(sinks, source)
             seconds = time.perf_counter() - t0
             if best is None or seconds < best[0]:
                 best = (seconds, result)
@@ -389,42 +259,7 @@ def time_synthesis(
     if engine == "reference":
         with reference_engine():
             return run()
-    if engine not in (
-        "vectorized",
-        "parallel",
-        "scalar-commit",
-        "per-pair-windows",
-        "per-pair-finish",
-        "per-pair-expansion",
-        "per-object-commit",
-    ):
-        raise ValueError(f"unknown engine {engine!r}")
     return run()
-
-
-def _alternating_route_best(
-    n: int,
-    with_blockages: bool,
-    seed: int,
-    seeded: dict[str, float],
-    rounds: int = 2,
-) -> dict[str, float]:
-    """Best route-phase seconds per engine, timed in alternating rounds.
-
-    Route-phase comparisons are sub-second intervals, so slow machine
-    drift between two distant measurements swamps them; each round times
-    every engine once, back to back, and each engine keeps its best —
-    the drift cancels. ``seeded`` maps engine name to an already-measured
-    route_s that seeds the minimum.
-    """
-    best = dict(seeded)
-    for __ in range(rounds):
-        for engine in best:
-            best[engine] = min(
-                best[engine],
-                time_synthesis(n, with_blockages, engine, seed)["route_s"],
-            )
-    return best
 
 
 def collect_scaling(
@@ -443,153 +278,10 @@ def collect_scaling(
     cap = reference_cap if reference_cap is not None else reference_size_cap()
     samples: list[dict] = []
     speedups: list[dict] = []
-    parallel_speedups: list[dict] = []
-    commit_speedups: list[dict] = []
-    route_speedups: list[dict] = []
-    route_finish_speedups: list[dict] = []
-    expansion_speedups: list[dict] = []
-    soa_commit_speedups: list[dict] = []
     for with_blockages in (False, True):
         for n in sizes:
             vec = time_synthesis(n, with_blockages, "vectorized", seed, repeats=2)
             samples.append(vec)
-            if n >= SHARED_WINDOWS_MIN_SINKS:
-                pp = time_synthesis(
-                    n, with_blockages, "per-pair-windows", seed, repeats=2
-                )
-                samples.append(pp)
-                route_best = _alternating_route_best(
-                    n,
-                    with_blockages,
-                    seed,
-                    {
-                        "vectorized": vec["route_s"],
-                        "per-pair-windows": pp["route_s"],
-                    },
-                )
-                shared_route = route_best["vectorized"]
-                per_pair_route = route_best["per-pair-windows"]
-                sharing = vec.get("route_sharing", {})
-                route_speedups.append(
-                    {
-                        "n_sinks": n,
-                        "blockages": with_blockages,
-                        "per_pair_route_s": per_pair_route,
-                        "shared_route_s": shared_route,
-                        "route_speedup": per_pair_route / shared_route,
-                        "windows_served": sharing.get("windows_served", 0),
-                        "tiles_built": sharing.get("tiles_built", 0),
-                        "tiles_reused": sharing.get("tiles_reused", 0),
-                        "curve_rounds": sharing.get("curve_rounds", 0),
-                        "pitch_buckets": sharing.get("pitch_buckets", {}),
-                    }
-                )
-            if with_blockages and n >= ROUTE_FINISH_MIN_SINKS:
-                pf = time_synthesis(
-                    n, with_blockages, "per-pair-finish", seed, repeats=2
-                )
-                samples.append(pf)
-                finish_best = _alternating_route_best(
-                    n,
-                    with_blockages,
-                    seed,
-                    {
-                        "vectorized": vec["route_s"],
-                        "per-pair-finish": pf["route_s"],
-                    },
-                )
-                batched_route = finish_best["vectorized"]
-                per_pair_route = finish_best["per-pair-finish"]
-                sharing = vec.get("route_sharing", {})
-                route_finish_speedups.append(
-                    {
-                        "n_sinks": n,
-                        "blockages": with_blockages,
-                        "per_pair_finish_route_s": per_pair_route,
-                        "batched_finish_route_s": batched_route,
-                        "route_finish_speedup": per_pair_route / batched_route,
-                        "finish_batches": sharing.get("finish_batches", 0),
-                        "cells_ranked": sharing.get("cells_ranked", 0),
-                        "descent_sides": sharing.get("descent_sides", 0),
-                        "descent_cells": sharing.get("descent_cells", 0),
-                    }
-                )
-            if with_blockages and n >= EXPANSION_MIN_SINKS:
-                pe = time_synthesis(
-                    n, with_blockages, "per-pair-expansion", seed, repeats=2
-                )
-                samples.append(pe)
-                expansion_best = _alternating_route_best(
-                    n,
-                    with_blockages,
-                    seed,
-                    {
-                        "vectorized": vec["route_s"],
-                        "per-pair-expansion": pe["route_s"],
-                    },
-                )
-                batched_route = expansion_best["vectorized"]
-                per_pair_route = expansion_best["per-pair-expansion"]
-                sharing = vec.get("route_sharing", {})
-                expansion_speedups.append(
-                    {
-                        "n_sinks": n,
-                        "blockages": with_blockages,
-                        "per_pair_expansion_route_s": per_pair_route,
-                        "batched_expansion_route_s": batched_route,
-                        "expansion_speedup": per_pair_route / batched_route,
-                        "expansion_lanes": sharing.get("expansion_lanes", 0),
-                        "expansion_runs": sharing.get("expansion_runs", 0),
-                        "expansion_insertions": sharing.get(
-                            "expansion_insertions", 0
-                        ),
-                        "curve_points": sharing.get("curve_points", 0),
-                    }
-                )
-            if n >= PARALLEL_MIN_SINKS:
-                par = time_synthesis(n, with_blockages, "parallel", seed, repeats=2)
-                samples.append(par)
-                parallel_speedups.append(
-                    {
-                        "n_sinks": n,
-                        "blockages": with_blockages,
-                        "workers": PARALLEL_WORKERS,
-                        "serial_s": vec["seconds"],
-                        "parallel_s": par["seconds"],
-                        "speedup": vec["seconds"] / par["seconds"],
-                    }
-                )
-            if n >= SOA_COMMIT_MIN_SINKS:
-                po = time_synthesis(
-                    n, with_blockages, "per-object-commit", seed, repeats=2
-                )
-                samples.append(po)
-                soa_commit_speedups.append(
-                    {
-                        "n_sinks": n,
-                        "blockages": with_blockages,
-                        "object_commit_s": po["commit_s"],
-                        "soa_commit_s": vec["commit_s"],
-                        "soa_commit_speedup": po["commit_s"] / vec["commit_s"],
-                        "commit_probes": vec["commit_probes"],
-                    }
-                )
-            if n >= BATCH_COMMIT_MIN_SINKS:
-                sc = time_synthesis(
-                    n, with_blockages, "scalar-commit", seed, repeats=2
-                )
-                samples.append(sc)
-                commit_speedups.append(
-                    {
-                        "n_sinks": n,
-                        "blockages": with_blockages,
-                        "scalar_commit_s": sc["commit_s"],
-                        "batched_commit_s": vec["commit_s"],
-                        "commit_speedup": sc["commit_s"] / vec["commit_s"],
-                        "batch_rounds": vec["commit_batch_rounds"],
-                        "mean_batch_rows": vec["commit_mean_batch_rows"],
-                    }
-                )
             if n <= cap:
                 ref = time_synthesis(n, with_blockages, "reference", seed)
                 samples.append(ref)
@@ -621,227 +313,7 @@ def collect_scaling(
         "cpus": os.cpu_count(),
         "samples": samples,
         "speedups": speedups,
-        "parallel_speedups": parallel_speedups,
-        "commit_speedups": commit_speedups,
-        "route_speedups": route_speedups,
-        "route_finish_speedups": route_finish_speedups,
-        "expansion_speedups": expansion_speedups,
-        "soa_commit_speedups": soa_commit_speedups,
     }
-
-
-def parallel_equivalence(
-    n_sinks: int = 200,
-    with_blockages: bool = True,
-    workers: int = PARALLEL_WORKERS,
-    seed: int = 5,
-) -> dict:
-    """Serial and parallel runs of one scenario, reduced to signatures.
-
-    The returned trees are canonical :func:`repro.tree.export.tree_signature`
-    dicts (auto names rebased per run), so ``serial_tree == parallel_tree``
-    asserts bit-identical synthesis including node creation order.
-    """
-    from repro.tree.export import tree_signature
-    from repro.tree.nodes import peek_node_id
-
-    sinks, source, blockages = scaling_scenario(n_sinks, with_blockages, seed)
-    out: dict = {"n_sinks": n_sinks, "blockages": with_blockages}
-    for label, n_workers in (("serial", 0), ("parallel", workers)):
-        cts = AggressiveBufferedCTS(
-            options=CTSOptions(workers=n_workers, merge_batch_size=0),
-            blockages=blockages or None,
-        )
-        base = peek_node_id()
-        result = cts.synthesize(sinks, source)
-        out[f"{label}_tree"] = tree_signature(result.tree, base)
-        out[f"{label}_stats"] = result.merge_stats
-        out[f"{label}_levels"] = result.levels
-    return out
-
-
-def batched_equivalence(
-    n_sinks: int = 200,
-    with_blockages: bool = True,
-    seed: int = 5,
-) -> dict:
-    """Scalar-fallback and batched-commit runs of one scenario, reduced
-    to signatures.
-
-    Like :func:`parallel_equivalence` but for the lockstep batched commit
-    phase: ``scalar_tree == batched_tree`` asserts bit-identical
-    synthesis (same bisection trajectories, same tie-breaks, same node
-    creation order after renumbering).
-    """
-    from repro.tree.export import tree_signature
-    from repro.tree.nodes import peek_node_id
-
-    sinks, source, blockages = scaling_scenario(n_sinks, with_blockages, seed)
-    out: dict = {"n_sinks": n_sinks, "blockages": with_blockages}
-    for label, batch in (("scalar", False), ("batched", True)):
-        cts = AggressiveBufferedCTS(
-            options=CTSOptions(workers=0, batch_commit=batch),
-            blockages=blockages or None,
-        )
-        base = peek_node_id()
-        result = cts.synthesize(sinks, source)
-        out[f"{label}_tree"] = tree_signature(result.tree, base)
-        out[f"{label}_stats"] = result.merge_stats
-        out[f"{label}_levels"] = result.levels
-        out[f"{label}_queries"] = result.commit_queries
-    return out
-
-
-def shared_equivalence(
-    n_sinks: int = 200,
-    with_blockages: bool = True,
-    workers: int = 0,
-    seed: int = 5,
-) -> dict:
-    """Shared-window and per-pair-window runs of one scenario, reduced to
-    signatures.
-
-    Like :func:`parallel_equivalence` but for the shared-window routing
-    subsystem: ``shared_tree == per_pair_tree`` asserts bit-identical
-    synthesis (same windows, same BFS distance fields, same descent
-    geometry, same table values). Pass ``workers`` to run the shared side
-    through the PR 2 pool as well.
-    """
-    from repro.tree.export import tree_signature
-    from repro.tree.nodes import peek_node_id
-
-    sinks, source, blockages = scaling_scenario(n_sinks, with_blockages, seed)
-    out: dict = {"n_sinks": n_sinks, "blockages": with_blockages}
-    for label, shared in (("shared", True), ("per_pair", False)):
-        cts = AggressiveBufferedCTS(
-            options=CTSOptions(
-                workers=workers if shared else 0, shared_windows=shared
-            ),
-            blockages=blockages or None,
-        )
-        base = peek_node_id()
-        result = cts.synthesize(sinks, source)
-        out[f"{label}_tree"] = tree_signature(result.tree, base)
-        out[f"{label}_stats"] = result.merge_stats
-        out[f"{label}_levels"] = result.levels
-        out[f"{label}_sharing"] = result.route_sharing
-    return out
-
-
-def batch_finish_equivalence(
-    n_sinks: int = 200,
-    with_blockages: bool = True,
-    workers: int = 0,
-    seed: int = 5,
-) -> dict:
-    """Batched-finish and per-pair-finish runs of one scenario, reduced
-    to signatures.
-
-    Like :func:`shared_equivalence` but for the level-batched
-    route-finishing kernel: ``batched_tree == per_pair_tree`` asserts
-    bit-identical synthesis (same ranked merge cells including every tie,
-    same descent geometry, same buffer chains). Both sides route through
-    shared windows; only the finishing path differs. Pass ``workers`` to
-    run the batched side through the PR 2 pool as well.
-    """
-    from repro.tree.export import tree_signature
-    from repro.tree.nodes import peek_node_id
-
-    sinks, source, blockages = scaling_scenario(n_sinks, with_blockages, seed)
-    out: dict = {"n_sinks": n_sinks, "blockages": with_blockages}
-    for label, batched in (("batched", True), ("per_pair", False)):
-        cts = AggressiveBufferedCTS(
-            options=CTSOptions(
-                workers=workers if batched else 0,
-                shared_windows=True,
-                batch_route_finish=batched,
-            ),
-            blockages=blockages or None,
-        )
-        base = peek_node_id()
-        result = cts.synthesize(sinks, source)
-        out[f"{label}_tree"] = tree_signature(result.tree, base)
-        out[f"{label}_stats"] = result.merge_stats
-        out[f"{label}_levels"] = result.levels
-        out[f"{label}_sharing"] = result.route_sharing
-    return out
-
-
-def expansion_equivalence(
-    n_sinks: int = 200,
-    with_blockages: bool = True,
-    workers: int = 0,
-    seed: int = 5,
-) -> dict:
-    """Lockstep-scheduler and per-pair-expansion runs of one scenario,
-    reduced to signatures.
-
-    Like :func:`batch_finish_equivalence` but for the lockstep profile
-    expansion scheduler: ``batched_tree == per_pair_tree`` asserts
-    bit-identical synthesis (same primed segment tables, same buffer
-    placements, same delay profiles, same node creation order after
-    renumbering). Both sides route through shared windows and the
-    level-batched finisher; only the expansion path differs. Pass
-    ``workers`` to run the batched side through the PR 2 pool as well.
-    """
-    from repro.tree.export import tree_signature
-    from repro.tree.nodes import peek_node_id
-
-    sinks, source, blockages = scaling_scenario(n_sinks, with_blockages, seed)
-    out: dict = {"n_sinks": n_sinks, "blockages": with_blockages}
-    for label, batched in (("batched", True), ("per_pair", False)):
-        cts = AggressiveBufferedCTS(
-            options=CTSOptions(
-                workers=workers if batched else 0,
-                shared_windows=True,
-                batch_route_finish=True,
-                batch_expansion=batched,
-            ),
-            blockages=blockages or None,
-        )
-        base = peek_node_id()
-        result = cts.synthesize(sinks, source)
-        out[f"{label}_tree"] = tree_signature(result.tree, base)
-        out[f"{label}_stats"] = result.merge_stats
-        out[f"{label}_levels"] = result.levels
-        out[f"{label}_sharing"] = result.route_sharing
-    return out
-
-
-def soa_commit_equivalence(
-    n_sinks: int = 200,
-    with_blockages: bool = True,
-    workers: int = 0,
-    seed: int = 5,
-) -> dict:
-    """SoA-mirror and per-object-commit runs of one scenario, reduced to
-    signatures.
-
-    Like :func:`batched_equivalence` but for the structure-of-arrays
-    tree mirror: ``soa_tree == object_tree`` asserts bit-identical
-    synthesis (same bounds-bucket cache fills, same forced stage
-    buffers, same node creation order after renumbering). Pass
-    ``workers`` to run the SoA side through the PR 2 pool as well.
-    """
-    from repro.tree.export import tree_signature
-    from repro.tree.nodes import peek_node_id
-
-    sinks, source, blockages = scaling_scenario(n_sinks, with_blockages, seed)
-    out: dict = {"n_sinks": n_sinks, "blockages": with_blockages}
-    for label, soa in (("soa", True), ("object", False)):
-        cts = AggressiveBufferedCTS(
-            options=CTSOptions(
-                workers=workers if soa else 0, soa_commit=soa
-            ),
-            blockages=blockages or None,
-        )
-        base = peek_node_id()
-        result = cts.synthesize(sinks, source)
-        out[f"{label}_tree"] = tree_signature(result.tree, base)
-        out[f"{label}_stats"] = result.merge_stats
-        out[f"{label}_levels"] = result.levels
-        out[f"{label}_queries"] = result.commit_queries
-    return out
 
 
 def checkpoint_resume_equivalence(
@@ -853,8 +325,7 @@ def checkpoint_resume_equivalence(
     """Clean and halt-at-level-``halt_after``-then-resume runs of one
     scenario, reduced to signatures.
 
-    Like :func:`parallel_equivalence` but for the checkpoint subsystem:
-    a synthesis is killed (injected ``checkpoint:N:halt``) right after
+    A synthesis is killed (injected ``checkpoint:N:halt``) right after
     its ``halt_after``-th per-level snapshot landed, then resumed from
     the checkpoint directory; ``clean_tree == resumed_tree`` asserts the
     restart is bit-identical, including node ids/names created before
@@ -870,7 +341,7 @@ def checkpoint_resume_equivalence(
     out: dict = {"n_sinks": n_sinks, "blockages": with_blockages}
 
     cts = AggressiveBufferedCTS(
-        options=CTSOptions(fault_plan="", strict=False),
+        options=CTSOptions(),
         blockages=blockages or None,
     )
     base = peek_node_id()
@@ -886,7 +357,6 @@ def checkpoint_resume_equivalence(
             options=CTSOptions(
                 checkpoint_dir=ckpt_dir,
                 fault_plan=f"checkpoint:{halt_after - 1}:halt",
-                strict=False,
             ),
             blockages=blockages or None,
         )
@@ -898,9 +368,7 @@ def checkpoint_resume_equivalence(
         out["checkpoints_written"] = len(os.listdir(ckpt_dir))
         reset_plans()
         resumer = AggressiveBufferedCTS(
-            options=CTSOptions(
-                resume_from=ckpt_dir, fault_plan="", strict=False
-            ),
+            options=CTSOptions(resume_from=ckpt_dir),
             blockages=blockages or None,
         )
         resumed = resumer.synthesize(sinks, source)
@@ -943,165 +411,4 @@ def render_scaling(payload: dict) -> str:
             " reference (same flow, same scenarios)"
         ),
     )
-    if payload.get("route_speedups"):
-        route_body = [
-            [
-                row["n_sinks"],
-                "yes" if row["blockages"] else "no",
-                round(row["per_pair_route_s"], 3),
-                round(row["shared_route_s"], 3),
-                round(row["route_speedup"], 2),
-                row["windows_served"],
-                row["tiles_reused"],
-            ]
-            for row in payload["route_speedups"]
-        ]
-        table += "\n\n" + format_table(
-            [
-                "sinks",
-                "blockages",
-                "per-pair route[s]",
-                "shared route[s]",
-                "speedup",
-                "windows",
-                "tile reuse",
-            ],
-            route_body,
-            title=(
-                "Route phase — per-pair windows vs level-scoped shared"
-                " grid cache + cross-pair batcher (bit-identical trees)"
-            ),
-        )
-    if payload.get("route_finish_speedups"):
-        finish_body = [
-            [
-                row["n_sinks"],
-                "yes" if row["blockages"] else "no",
-                round(row["per_pair_finish_route_s"], 3),
-                round(row["batched_finish_route_s"], 3),
-                round(row["route_finish_speedup"], 2),
-                row["cells_ranked"],
-                row["descent_sides"],
-            ]
-            for row in payload["route_finish_speedups"]
-        ]
-        table += "\n\n" + format_table(
-            [
-                "sinks",
-                "blockages",
-                "per-pair finish[s]",
-                "batched finish[s]",
-                "speedup",
-                "cells ranked",
-                "descents",
-            ],
-            finish_body,
-            title=(
-                "Route finishing — per-pair ranking/materialization vs"
-                " level-batched kernel (bit-identical trees)"
-            ),
-        )
-    if payload.get("expansion_speedups"):
-        expansion_body = [
-            [
-                row["n_sinks"],
-                "yes" if row["blockages"] else "no",
-                round(row["per_pair_expansion_route_s"], 3),
-                round(row["batched_expansion_route_s"], 3),
-                round(row["expansion_speedup"], 2),
-                row["expansion_lanes"],
-                row["expansion_insertions"],
-            ]
-            for row in payload["expansion_speedups"]
-        ]
-        table += "\n\n" + format_table(
-            [
-                "sinks",
-                "blockages",
-                "per-pair expand[s]",
-                "lockstep expand[s]",
-                "speedup",
-                "lanes",
-                "insertions",
-            ],
-            expansion_body,
-            title=(
-                "Profile expansion — per-pair lazy PathBuilder loop vs"
-                " lockstep level scheduler (bit-identical trees)"
-            ),
-        )
-    if payload.get("commit_speedups"):
-        commit_body = [
-            [
-                row["n_sinks"],
-                "yes" if row["blockages"] else "no",
-                round(row["scalar_commit_s"], 3),
-                round(row["batched_commit_s"], 3),
-                round(row["commit_speedup"], 2),
-                round(row["mean_batch_rows"], 1),
-            ]
-            for row in payload["commit_speedups"]
-        ]
-        table += "\n\n" + format_table(
-            [
-                "sinks",
-                "blockages",
-                "scalar commit[s]",
-                "batched commit[s]",
-                "speedup",
-                "rows/round",
-            ],
-            commit_body,
-            title=(
-                "Commit phase — scalar fallback vs lockstep batched"
-                " timing queries (bit-identical trees)"
-            ),
-        )
-    if payload.get("soa_commit_speedups"):
-        soa_body = [
-            [
-                row["n_sinks"],
-                "yes" if row["blockages"] else "no",
-                round(row["object_commit_s"], 3),
-                round(row["soa_commit_s"], 3),
-                round(row["soa_commit_speedup"], 2),
-                row["commit_probes"],
-            ]
-            for row in payload["soa_commit_speedups"]
-        ]
-        table += "\n\n" + format_table(
-            [
-                "sinks",
-                "blockages",
-                "object commit[s]",
-                "soa commit[s]",
-                "speedup",
-                "probes",
-            ],
-            soa_body,
-            title=(
-                "Commit phase — per-object walks vs structure-of-arrays"
-                " tree mirror (bit-identical trees)"
-            ),
-        )
-    if payload.get("parallel_speedups"):
-        par_body = [
-            [
-                row["n_sinks"],
-                "yes" if row["blockages"] else "no",
-                round(row["serial_s"], 3),
-                round(row["parallel_s"], 3),
-                round(row["speedup"], 2),
-            ]
-            for row in payload["parallel_speedups"]
-        ]
-        table += "\n\n" + format_table(
-            ["sinks", "blockages", "serial[s]", "parallel[s]", "speedup"],
-            par_body,
-            title=(
-                "Serial vs parallel merge routing"
-                f" (workers={PARALLEL_WORKERS}, {payload.get('cpus', '?')} cpus;"
-                " bit-identical trees)"
-            ),
-        )
     return table

@@ -11,7 +11,7 @@ loop. Between milestones the longest silent stretch is the engine
 build — library characterization when the on-disk cache is cold — so
 ``heartbeat_stall_s`` must exceed that; with warm caches every gap is
 sub-second. On success the child writes a small result JSON (signature
-digest, levels, resume level, degradation records, runtime) atomically
+digest, levels, resume level, runtime) atomically
 next to the spec; the parent treats a missing result file after a
 clean exit as a failed attempt.
 
@@ -43,19 +43,11 @@ def run_job(spec: dict) -> dict:
     inst = build_instance(spec["instance"])
     stamp_heartbeat(spec["heartbeat_file"], "instance-built")
     options = CTSOptions(
-        # Explicit defaults for the supervision plumbing: the child must
-        # not inherit the *parent's* env (a CI leg's REPRO_STRICT or
-        # REPRO_FAULT_PLAN would leak into every batch job).
-        strict=bool(spec["options"].get("strict", False)),
         fault_plan=spec.get("fault_plan", ""),
         checkpoint_dir=spec["checkpoint_dir"],
         resume_from=spec.get("resume_from"),
         heartbeat_file=spec["heartbeat_file"],
-        **{
-            k: v
-            for k, v in spec["options"].items()
-            if k not in ("strict",)
-        },
+        **spec["options"],
     )
     cts = AggressiveBufferedCTS(
         options=options, blockages=inst.blockages or None
@@ -70,7 +62,6 @@ def run_job(spec: dict) -> dict:
         "signature": signature_digest(signature),
         "levels": result.levels,
         "resumed_from": result.resumed_from,
-        "degradations": [d.as_record() for d in result.degradations],
         "runtime_s": time.perf_counter() - t0,
     }
 

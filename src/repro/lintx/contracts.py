@@ -1,44 +1,26 @@
-"""Kernel-contract cross-checks (``CON3xx``).
+"""Whole-program contract cross-checks (``CON3xx``).
 
-Every knob-gated fast path in this codebase ships with five safety
-rails, and until this module they were enforced purely by convention:
+Three conventions span several files, so no single-file rule can see
+them break; this module checks them against the live tree:
 
-1. a **degradation guard** in the kernel's module — an ``except``
-   handler that records a :class:`~repro.core.resilience.Degradation`
-   component via ``.note("<component>", ...)`` and falls back to the
-   bit-identical scalar path;
-2. a **fault-injection site** — the site name registered in
-   :data:`repro.evalx.faultinject.SITES` *and* a ``.consult("<site>")``
-   call at the guarded kernel, so the chaos CI leg can prove the guard
-   fires;
-3. a **CI matrix leg** exercising both sides of the knob (fast path on
-   and off) through its ``REPRO_*`` environment default;
-4. a **checkpoint-digest classification** — every ``CTSOptions`` field
-   is either result-affecting (in ``checkpoint._RESULT_FIELDS``) or
-   explicitly execution-only (in ``checkpoint._EXECUTION_FIELDS``);
-   a field in neither list would silently make checkpoints lie;
-5. a **documented CLI flag** in ``cli.py``.
+- **CON305** — every ``CTSOptions`` field is classified for the
+  checkpoint options digest: result-affecting (in
+  ``checkpoint._RESULT_FIELDS``) xor run plumbing (in
+  ``checkpoint._EXECUTION_FIELDS``). A field in neither list would
+  silently make checkpoints lie.
+- **CON307** — the CI workflow runs the analyzer itself.
+- **CON308** — every env-backed :class:`repro.jobs.policy.JobPolicy`
+  budget is declared in :data:`JOB_CONTRACTS` with its environment
+  variable and a documented ``run-batch`` CLI flag.
 
-The pass extracts the knob registry from ``core/options.py`` (every
-dataclass field whose ``default_factory`` reads a ``REPRO_*`` variable)
-and cross-checks it against the declared contract table below and the
-live tree. Adding a new kernel knob without declaring its rails fails
-here, at analysis time — not at 3 a.m. when the first degraded
-production run needs the fallback that was never wired.
-
-The table is deliberately declarative: the *next* kernel (lockstep
-profile expansion, the SoA commit kernel) adds one
-:class:`KernelContract` row, and every rule below starts enforcing its
-rails for free. ``tests/test_lintx_contracts.py`` asserts the table
-matches the shipped tree (self-check) and that each rule fires on a
-mutated copy of the tree (mutation checks).
+``tests/test_lintx_contracts.py`` asserts the shipped tree passes and
+that each rule fires on a mutated copy of the tree.
 """
 
 from __future__ import annotations
 
 import ast
 import os
-import re
 from dataclasses import dataclass
 
 from repro.lintx.core import Finding, Project, Rule, SourceFile, register
@@ -48,97 +30,23 @@ _OPTIONS_SUFFIX = os.path.join("repro", "core", "options.py")
 
 
 @dataclass(frozen=True)
-class KernelContract:
-    """The safety rails one knob-gated kernel must ship with."""
+class JobContract:
+    """An env-backed job-supervision budget and its documented CLI flag."""
 
-    knob: str  # CTSOptions field name
+    knob: str  # JobPolicy field name
     env: str  # REPRO_* environment default
-    module: str  # kernel module holding the degradation guard
-    component: str  # Degradation component the guard records
-    fault_site: str  # faultinject.SITES entry + .consult() literal
-    cli_flag: str  # documented flag in cli.py
-    fast_when: str = "truthy"  # env value semantics: "truthy"|"nonzero"
+    cli_flag: str  # documented run-batch flag in cli.py
 
-
-@dataclass(frozen=True)
-class FlowContract:
-    """A resilience/flow knob: env-backed and CLI-documented, but not a
-    kernel (it *is* part of the safety machinery, so it has no guard or
-    fault site of its own)."""
-
-    knob: str
-    env: str
-    cli_flag: str
-
-
-KERNEL_CONTRACTS = (
-    KernelContract(
-        knob="workers",
-        env="REPRO_WORKERS",
-        module=os.path.join("core", "parallel_merge.py"),
-        component="pool",
-        fault_site="worker_batch",
-        cli_flag="--workers",
-        fast_when="nonzero",
-    ),
-    KernelContract(
-        knob="batch_commit",
-        env="REPRO_BATCH_COMMIT",
-        module=os.path.join("core", "batch_commit.py"),
-        component="batch_commit",
-        fault_site="batch_commit",
-        cli_flag="--no-batch-commit",
-    ),
-    KernelContract(
-        knob="shared_windows",
-        env="REPRO_SHARED_WINDOWS",
-        module=os.path.join("core", "merge_routing.py"),
-        component="shared_windows",
-        fault_site="shared_windows",
-        cli_flag="--no-shared-windows",
-    ),
-    KernelContract(
-        knob="batch_expansion",
-        env="REPRO_BATCH_EXPANSION",
-        module=os.path.join("core", "grid_cache.py"),
-        component="batch_expansion",
-        fault_site="batch_expansion",
-        cli_flag="--no-batch-expansion",
-    ),
-    KernelContract(
-        knob="batch_route_finish",
-        env="REPRO_BATCH_ROUTE_FINISH",
-        module=os.path.join("core", "grid_cache.py"),
-        component="batch_route_finish",
-        fault_site="route_finish",
-        cli_flag="--no-batch-route-finish",
-    ),
-    KernelContract(
-        knob="soa_commit",
-        env="REPRO_SOA_COMMIT",
-        module=os.path.join("core", "soa_tree.py"),
-        component="soa_commit",
-        fault_site="soa_commit",
-        cli_flag="--no-soa-commit",
-    ),
-)
-
-FLOW_CONTRACTS = (
-    FlowContract("strict", "REPRO_STRICT", "--strict"),
-    FlowContract("pool_timeout", "REPRO_POOL_TIMEOUT", "--pool-timeout"),
-    FlowContract("fault_plan", "REPRO_FAULT_PLAN", "--fault-plan"),
-)
 
 #: Supervision-budget knobs of the batch job runner
-#: (:class:`repro.jobs.policy.JobPolicy`). They live outside
-#: ``CTSOptions`` — they govern the parent watchdog, never the tree —
-#: but carry the same env+CLI contract, enforced by CON308 against
-#: ``jobs/policy.py`` instead of ``core/options.py``.
+#: (:class:`repro.jobs.policy.JobPolicy`). They govern the parent
+#: watchdog, never the tree, and are enforced by CON308 against
+#: ``jobs/policy.py``.
 JOB_CONTRACTS = (
-    FlowContract("deadline_s", "REPRO_JOB_DEADLINE", "--job-deadline"),
-    FlowContract("mem_mb", "REPRO_JOB_MEM_MB", "--job-mem-mb"),
-    FlowContract("max_retries", "REPRO_JOB_RETRIES", "--job-retries"),
-    FlowContract(
+    JobContract("deadline_s", "REPRO_JOB_DEADLINE", "--job-deadline"),
+    JobContract("mem_mb", "REPRO_JOB_MEM_MB", "--job-mem-mb"),
+    JobContract("max_retries", "REPRO_JOB_RETRIES", "--job-retries"),
+    JobContract(
         "heartbeat_stall_s", "REPRO_HEARTBEAT_STALL", "--heartbeat-stall"
     ),
 )
@@ -151,7 +59,7 @@ JOB_CONTRACTS = (
 
 @dataclass
 class KnobInfo:
-    """One env-backed CTSOptions field as found in options.py."""
+    """One env-backed dataclass field as found in its module."""
 
     name: str
     env: str
@@ -159,9 +67,9 @@ class KnobInfo:
 
 
 def extract_env_knobs(
-    source: SourceFile, class_name: str = "CTSOptions"
+    source: SourceFile, class_name: str
 ) -> tuple[dict[str, KnobInfo], list[str], int]:
-    """The env-knob registry of one options dataclass.
+    """The env-knob registry of one dataclass.
 
     Returns (env-backed knobs by field name, all field names, class
     line). A knob is a dataclass field whose ``default_factory``
@@ -237,46 +145,6 @@ def extract_string_tuple(
     return None
 
 
-def guarded_components(source: SourceFile) -> set[str]:
-    """Components recorded by ``.note("<c>", ...)`` calls lexically
-    inside ``except`` handlers of this module."""
-    assert source.tree is not None
-    components: set[str] = set()
-    for node in ast.walk(source.tree):
-        if not isinstance(node, ast.ExceptHandler):
-            continue
-        for sub in ast.walk(node):
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr == "note"
-                and sub.args
-                and isinstance(sub.args[0], ast.Constant)
-                and isinstance(sub.args[0].value, str)
-            ):
-                components.add(sub.args[0].value)
-    return components
-
-
-def consulted_sites(project: Project) -> set[str]:
-    """Every ``.consult("<site>", ...)`` literal in the scanned tree."""
-    sites: set[str] = set()
-    for source in project.files:
-        if source.tree is None:
-            continue
-        for node in ast.walk(source.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "consult"
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
-            ):
-                sites.add(node.args[0].value)
-    return sites
-
-
 def cli_flags(source: SourceFile) -> dict[str, bool]:
     """Every ``add_argument`` flag string -> has a non-empty help."""
     assert source.tree is not None
@@ -306,104 +174,6 @@ def cli_flags(source: SourceFile) -> dict[str, bool]:
 
 
 # --------------------------------------------------------------------
-# Minimal CI workflow parsing (indentation-based; no yaml dependency)
-# --------------------------------------------------------------------
-
-
-@dataclass
-class CIWorkflow:
-    """The slice of ci.yml the contract rules need."""
-
-    path: str
-    legs: list[dict[str, str]]
-    env: dict[str, tuple[str | None, str]]  # REPRO_X -> (matrix key, default)
-    include_line: int
-    text: str
-
-
-_ENV_MATRIX_RE = re.compile(
-    r"^\s*(?P<var>REPRO_[A-Z_]+):\s*"
-    r"\$\{\{\s*matrix\.(?P<key>[A-Za-z_]+)"
-    r"(?:\s*\|\|\s*'(?P<default>[^']*)')?\s*\}\}"
-)
-_ENV_LITERAL_RE = re.compile(
-    r"^\s*(?P<var>REPRO_[A-Z_]+):\s*[\"']?(?P<value>[^\"'\s]*)[\"']?\s*$"
-)
-_KV_RE = re.compile(
-    r"^(?P<indent>\s*)(?P<dash>-\s+)?(?P<key>[A-Za-z_.-]+):\s*"
-    r"[\"']?(?P<value>[^\"']*)[\"']?\s*$"
-)
-
-
-def parse_ci_workflow(path: str, text: str) -> CIWorkflow:
-    legs: list[dict[str, str]] = []
-    env: dict[str, tuple[str | None, str]] = {}
-    include_line = 1
-    in_include = False
-    include_indent = 0
-    current: dict[str, str] | None = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        indent = len(line) - len(line.lstrip())
-        if stripped == "include:":
-            in_include = True
-            include_indent = indent
-            include_line = lineno
-            current = None
-            continue
-        if in_include:
-            if indent <= include_indent:
-                in_include = False
-                current = None
-            else:
-                match = _KV_RE.match(line)
-                if match:
-                    if match.group("dash"):
-                        current = {}
-                        legs.append(current)
-                    if current is not None:
-                        current[match.group("key")] = match.group("value")
-                continue
-        match = _ENV_MATRIX_RE.match(line)
-        if match:
-            env[match.group("var")] = (
-                match.group("key"),
-                match.group("default") or "",
-            )
-            continue
-        match = _ENV_LITERAL_RE.match(line)
-        if match and match.group("var").startswith("REPRO_"):
-            env.setdefault(
-                match.group("var"), (None, match.group("value"))
-            )
-    return CIWorkflow(
-        path=path, legs=legs, env=env, include_line=include_line, text=text
-    )
-
-
-def leg_env_value(workflow: CIWorkflow, leg: dict[str, str], env_var: str) -> str:
-    """The effective REPRO_* value one matrix leg runs with."""
-    mapping = workflow.env.get(env_var)
-    if mapping is None:
-        return ""
-    key, default = mapping
-    if key is None:
-        return default
-    return leg.get(key, "") or default
-
-
-def is_fast(value: str, fast_when: str) -> bool:
-    if fast_when == "nonzero":
-        try:
-            return int(value or "0") != 0
-        except ValueError:
-            return False
-    return value.lower() not in ("0", "false", "no")
-
-
-# --------------------------------------------------------------------
 # The shared index + rules
 # --------------------------------------------------------------------
 
@@ -414,8 +184,8 @@ class ContractIndex:
     def __init__(self, project: Project, options: SourceFile):
         self.project = project
         self.options = options
-        self.knobs, self.option_fields, self.class_line = extract_env_knobs(
-            options
+        __, self.option_fields, self.class_line = extract_env_knobs(
+            options, "CTSOptions"
         )
         prefix = options.path[: -len(_OPTIONS_SUFFIX)]
         self.pkg_prefix = prefix  # .../src/ (or whatever holds repro/)
@@ -423,10 +193,10 @@ class ContractIndex:
         if os.path.basename(os.path.normpath(root)) == "src":
             root = os.path.dirname(os.path.normpath(root))
         self.ci_path = os.path.join(root, ".github", "workflows", "ci.yml")
-        self.workflow: CIWorkflow | None = None
+        self.ci_text: str | None = None
         if os.path.exists(self.ci_path):
             with open(self.ci_path, encoding="utf-8") as fh:
-                self.workflow = parse_ci_workflow(self.ci_path, fh.read())
+                self.ci_text = fh.read()
 
     def module(self, suffix: str) -> SourceFile | None:
         """A repro module by path suffix, from the scan or from disk."""
@@ -465,212 +235,6 @@ class _ContractRule(Rule):
 
     def check_contracts(self, index: ContractIndex):
         raise NotImplementedError
-
-
-@register
-class KnobContractDeclaredRule(_ContractRule):
-    id = "CON301"
-    severity = "error"
-    summary = (
-        "every REPRO_*-backed CTSOptions knob must declare its"
-        " safety-rail contract (KernelContract/FlowContract)"
-    )
-
-    def check_contracts(self, index: ContractIndex):
-        declared = {c.knob: c.env for c in KERNEL_CONTRACTS}
-        declared.update({c.knob: c.env for c in FLOW_CONTRACTS})
-        for name, knob in sorted(index.knobs.items()):
-            if name not in declared:
-                yield self.finding(
-                    index.options.path,
-                    knob.line,
-                    1,
-                    f"knob {name!r} ({knob.env}) has no declared"
-                    " contract: add a KernelContract (fast-path kernel)"
-                    " or FlowContract (flow/resilience knob) row in"
-                    " repro.lintx.contracts and wire its safety rails",
-                )
-            elif declared[name] != knob.env:
-                yield self.finding(
-                    index.options.path,
-                    knob.line,
-                    1,
-                    f"knob {name!r} reads {knob.env} but its contract"
-                    f" declares {declared[name]}",
-                )
-        for knob_name in sorted(declared):
-            if knob_name not in index.option_fields:
-                yield self.finding(
-                    index.options.path,
-                    index.class_line,
-                    1,
-                    f"contract table declares knob {knob_name!r} but"
-                    " CTSOptions has no such field (stale contract row)",
-                )
-            elif knob_name not in index.knobs:
-                yield self.finding(
-                    index.options.path,
-                    index.class_line,
-                    1,
-                    f"contract table declares knob {knob_name!r} as"
-                    " env-backed but its field has no REPRO_*"
-                    " default_factory",
-                )
-
-
-@register
-class DegradationGuardRule(_ContractRule):
-    id = "CON302"
-    severity = "error"
-    summary = (
-        "each kernel knob's module must contain a degradation guard:"
-        " an except handler recording its component via .note()"
-    )
-
-    def check_contracts(self, index: ContractIndex):
-        for contract in KERNEL_CONTRACTS:
-            module = index.module(contract.module)
-            if module is None or module.tree is None:
-                yield self.finding(
-                    index.options.path,
-                    index.class_line,
-                    1,
-                    f"kernel module repro/{contract.module} for knob"
-                    f" {contract.knob!r} not found",
-                )
-                continue
-            if contract.component not in guarded_components(module):
-                yield self.finding(
-                    module.path,
-                    1,
-                    1,
-                    f"knob {contract.knob!r}: no degradation guard in"
-                    f" this module — expected an except handler calling"
-                    f" .note({contract.component!r}, ...) before falling"
-                    " back to the bit-identical scalar path",
-                )
-
-
-@register
-class FaultSiteRule(_ContractRule):
-    id = "CON303"
-    severity = "error"
-    summary = (
-        "each kernel knob needs a registered fault site (SITES) with a"
-        " live .consult() call; every registered site must be consulted"
-    )
-
-    def check_contracts(self, index: ContractIndex):
-        fault_mod = index.module(os.path.join("evalx", "faultinject.py"))
-        if fault_mod is None or fault_mod.tree is None:
-            yield self.finding(
-                index.options.path,
-                index.class_line,
-                1,
-                "repro/evalx/faultinject.py not found: the fault-site"
-                " registry is gone",
-            )
-            return
-        extracted = extract_string_tuple(fault_mod, "SITES")
-        if extracted is None:
-            yield self.finding(
-                fault_mod.path,
-                1,
-                1,
-                "faultinject.py has no SITES = (...) registry",
-            )
-            return
-        sites, sites_line = extracted
-        consulted = consulted_sites(index.project)
-        for contract in KERNEL_CONTRACTS:
-            if contract.fault_site not in sites:
-                yield self.finding(
-                    fault_mod.path,
-                    sites_line,
-                    1,
-                    f"knob {contract.knob!r}: fault site"
-                    f" {contract.fault_site!r} is not registered in"
-                    " SITES — the chaos leg cannot prove its"
-                    " degradation guard fires",
-                )
-            if contract.fault_site not in consulted:
-                yield self.finding(
-                    fault_mod.path,
-                    sites_line,
-                    1,
-                    f"knob {contract.knob!r}: no"
-                    f" .consult({contract.fault_site!r}) call anywhere"
-                    " in the tree — the registered fault site is dead",
-                )
-        for site in sites:
-            if site not in consulted:
-                covered = any(
-                    c.fault_site == site for c in KERNEL_CONTRACTS
-                )
-                if not covered:
-                    yield self.finding(
-                        fault_mod.path,
-                        sites_line,
-                        1,
-                        f"registered fault site {site!r} has no"
-                        " .consult() call anywhere in the tree",
-                    )
-
-
-@register
-class CIMatrixRule(_ContractRule):
-    id = "CON304"
-    severity = "error"
-    summary = (
-        "each kernel knob needs CI matrix legs exercising both the fast"
-        " path and its fallback through the REPRO_* env default"
-    )
-
-    def check_contracts(self, index: ContractIndex):
-        workflow = index.workflow
-        if workflow is None:
-            yield self.finding(
-                index.options.path,
-                index.class_line,
-                1,
-                f"no CI workflow at {index.ci_path}: kernel knobs have"
-                " no fallback matrix legs",
-            )
-            return
-        for contract in KERNEL_CONTRACTS:
-            if contract.env not in workflow.env:
-                yield self.finding(
-                    workflow.path,
-                    1,
-                    1,
-                    f"knob {contract.knob!r}: {contract.env} is not"
-                    " wired into the workflow env block, so no matrix"
-                    " leg can toggle it",
-                )
-                continue
-            values = [
-                leg_env_value(workflow, leg, contract.env)
-                for leg in workflow.legs
-            ]
-            fast = [is_fast(v, contract.fast_when) for v in values]
-            if not any(fast):
-                yield self.finding(
-                    workflow.path,
-                    workflow.include_line,
-                    1,
-                    f"knob {contract.knob!r}: no matrix leg runs with"
-                    " the fast path enabled"
-                    f" ({contract.env} always off)",
-                )
-            if all(fast):
-                yield self.finding(
-                    workflow.path,
-                    workflow.include_line,
-                    1,
-                    f"knob {contract.knob!r}: no matrix leg disables"
-                    f" the fast path ({contract.env}) — the"
-                    " bit-identical fallback is never exercised in CI",
-                )
 
 
 @register
@@ -756,46 +320,6 @@ class DigestFieldRule(_ContractRule):
 
 
 @register
-class CLIFlagRule(_ContractRule):
-    id = "CON306"
-    severity = "error"
-    summary = (
-        "every contracted knob needs its documented CLI flag in cli.py"
-    )
-
-    def check_contracts(self, index: ContractIndex):
-        cli = index.module("cli.py")
-        if cli is None or cli.tree is None:
-            yield self.finding(
-                index.options.path,
-                index.class_line,
-                1,
-                "repro/cli.py not found: contracted knobs have no CLI"
-                " surface",
-            )
-            return
-        flags = cli_flags(cli)
-        wanted = [(c.knob, c.cli_flag) for c in KERNEL_CONTRACTS]
-        wanted += [(c.knob, c.cli_flag) for c in FLOW_CONTRACTS]
-        for knob, flag in wanted:
-            if flag not in flags:
-                yield self.finding(
-                    cli.path,
-                    1,
-                    1,
-                    f"knob {knob!r}: CLI flag {flag} is not defined in"
-                    " cli.py",
-                )
-            elif not flags[flag]:
-                yield self.finding(
-                    cli.path,
-                    1,
-                    1,
-                    f"knob {knob!r}: CLI flag {flag} has no help text",
-                )
-
-
-@register
 class JobPolicyContractRule(_ContractRule):
     id = "CON308"
     severity = "error"
@@ -816,9 +340,7 @@ class JobPolicyContractRule(_ContractRule):
                     " declares job-supervision knobs (stale table)",
                 )
             return
-        knobs, fields, class_line = extract_env_knobs(
-            policy_mod, class_name="JobPolicy"
-        )
+        knobs, fields, class_line = extract_env_knobs(policy_mod, "JobPolicy")
         declared = {c.knob: c.env for c in JOB_CONTRACTS}
         for name, knob in sorted(knobs.items()):
             if name not in declared:
@@ -859,7 +381,14 @@ class JobPolicyContractRule(_ContractRule):
                 )
         cli = index.module("cli.py")
         if cli is None or cli.tree is None:
-            return  # CON306 already reports the missing CLI
+            yield self.finding(
+                index.options.path,
+                index.class_line,
+                1,
+                "repro/cli.py not found: job-supervision knobs have no"
+                " CLI surface",
+            )
+            return
         flags = cli_flags(cli)
         for contract in JOB_CONTRACTS:
             if contract.cli_flag not in flags:
@@ -887,18 +416,22 @@ class CIRunsLintRule(_ContractRule):
     summary = "the CI workflow must run repro-lint itself"
 
     def check_contracts(self, index: ContractIndex):
-        workflow = index.workflow
-        if workflow is None:
-            return  # CON304 already reports the missing workflow
-        if (
-            "repro.lintx" not in workflow.text
-            and "repro lint" not in workflow.text
-        ):
+        text = index.ci_text
+        if text is None:
             yield self.finding(
-                workflow.path,
+                index.options.path,
+                index.class_line,
+                1,
+                f"no CI workflow at {index.ci_path}: the analyzer never"
+                " runs on push",
+            )
+            return
+        if "repro.lintx" not in text and "repro lint" not in text:
+            yield self.finding(
+                index.ci_path,
                 1,
                 1,
                 "the workflow never runs the analyzer (python -m"
-                " repro.lintx / repro lint): contract rails are"
+                " repro.lintx / repro lint): contract rules are"
                 " unenforced on push",
             )

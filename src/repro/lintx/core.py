@@ -3,19 +3,18 @@
 The analyzer statically enforces the two load-bearing properties of
 this codebase (see ANALYSIS.md):
 
-- **determinism** — every fast path must be bit-identical and
-  replayable, so wall clocks, unseeded RNGs, hash-ordered iteration and
+- **determinism** — synthesis must be bit-identical and replayable, so
+  wall clocks, unseeded RNGs, hash-ordered iteration and
   scheduling-ordered gathers are findings, not style nits;
-- **kernel contracts** — every knob-gated kernel must ship with its
-  safety rails (scalar-fallback degradation guard, fault-injection
-  site, CI fallback leg, checkpoint-digest classification, documented
-  CLI flag), checked against the live tree, not against convention.
+- **contracts** — conventions that span files (checkpoint-digest
+  classification of every option, documented job-budget knobs, CI
+  running the analyzer) are checked against the live tree, not against
+  convention.
 
-Rules come in three families, each in its own module:
+Rules come in three families:
 
 ==========  ==========================================================
 ``DET1xx``  per-file AST determinism rules (:mod:`.rules_determinism`)
-``PIK2xx``  pool-picklability rules (:mod:`.rules_pickle`)
 ``CON3xx``  whole-program contract cross-checks (:mod:`.contracts`)
 ``LNT0xx``  the analyzer's own hygiene (suppression grammar)
 ==========  ==========================================================
@@ -264,7 +263,7 @@ def all_rules() -> list[Rule]:
 def _load_rule_modules() -> None:
     # Deferred so `import repro.lintx.core` never cycles with the rule
     # modules (they import `register` from here).
-    from repro.lintx import contracts, rules_determinism, rules_pickle  # noqa: F401
+    from repro.lintx import contracts, rules_determinism  # noqa: F401
 
 
 def iter_python_files(paths: list[str]) -> list[str]:
@@ -318,7 +317,7 @@ def run_lint(
 ) -> LintResult:
     """Scan ``paths`` and return every unsuppressed finding.
 
-    ``contracts=False`` skips the whole-program ``CON``/``PIK`` passes
+    ``contracts=False`` skips the whole-program ``CON`` passes
     (used by the warn-only tests/benchmarks scan, where there is no
     options registry to cross-check).
     """
@@ -354,7 +353,7 @@ def run_lint(
     for finding in raw:
         source = by_path.get(finding.path)
         if source is not None and finding.rule.startswith(
-            ("DET", "PIK", "CON")
+            ("DET", "CON")
         ):
             if source.suppresses(finding):
                 suppressed += 1

@@ -1,11 +1,11 @@
 """Determinism rules (``DET1xx``).
 
-Every fast path in this codebase is contractually bit-identical to its
-scalar fallback, and checkpoints must replay to the same tree on any
-machine. That dies the moment a result depends on a wall clock, an
+Every batched kernel in this codebase is contractually bit-identical
+to its per-pair twin, and checkpoints must replay to the same tree on
+any machine. That dies the moment a result depends on a wall clock, an
 unseeded RNG, hash-ordered iteration (``PYTHONHASHSEED`` randomizes
-``str`` hashes per *process*, so set order differs between a pool
-worker and its parent), filesystem enumeration order, or worker
+``str`` hashes per *process*, so set order differs between a resumed
+run and the one it continues), filesystem enumeration order, or worker
 scheduling. These rules flag each of those at the AST level.
 
 All rules share one resolution layer: import aliases are tracked so
@@ -444,8 +444,8 @@ class GatherOrderRule(_FileRule):
                     node.col_offset + 1,
                     f"{attr}() yields results in completion order, which"
                     " depends on worker scheduling; gather futures in"
-                    " submission order (see repro.core.parallel_merge)"
-                    " so float accumulation and id assignment replay",
+                    " submission order so float accumulation and id"
+                    " assignment replay",
                 )
 
 

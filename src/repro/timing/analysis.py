@@ -139,8 +139,7 @@ class LibraryTimingEngine:
         self.bounds_cache_misses = 0
         #: Optional structure-of-arrays mirror (repro.core.soa_tree).
         #: When attached, the bounds-bucket prefill evaluates flat
-        #: stages from its columns (bit-identical; degrades back to the
-        #: object walk on any failure).
+        #: stages from its columns (bit-identical to the object walk).
         self._soa = None
 
     def attach_soa(self, soa) -> None:
@@ -309,8 +308,8 @@ class LibraryTimingEngine:
     def remap_node_ids(self, mapping: dict[int, int]) -> None:
         """Rewrite memoized keys after a node-id renumbering.
 
-        The parallel/batched merge flows renumber a level's freshly
-        created nodes into serial creation order; cached bounds and caps
+        The swept merge flow renumbers a level's freshly created nodes
+        into per-pair creation order; cached bounds and caps
         are keyed by node id, so the keys must follow the (bijective)
         renumbering or a later node could hit a stale entry under its
         reassigned id.
@@ -523,17 +522,16 @@ class LibraryTimingEngine:
     ) -> None:
         """Fill missing bounds buckets (SoA columns when mirrored).
 
-        When a structure-of-arrays mirror is attached and healthy, the
-        flat-stage kernel answers the whole job list from its columns
-        (delegating unmirrored/deep jobs back to the object walk
-        itself); otherwise — or after the mirror degrades — every job
-        takes the object walk. Stored values are bit-identical either
-        way.
+        When a structure-of-arrays mirror is attached, the flat-stage
+        kernel answers the whole job list from its columns (delegating
+        unmirrored/deep jobs back to the object walk itself); otherwise
+        every job takes the object walk. Stored values are bit-identical
+        either way.
         """
-        soa = self._soa
-        if soa is not None and soa.prefill_bounds(self, jobs):
-            return
-        self._prefill_bucket_jobs_object(jobs)
+        if self._soa is not None:
+            self._soa.prefill_bounds(self, jobs)
+        else:
+            self._prefill_bucket_jobs_object(jobs)
 
     def _prefill_bucket_jobs_object(
         self, jobs: list[tuple[str, TreeNode, list[int], str]]

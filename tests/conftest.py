@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,82 @@ def make_sink_pairs(n: int, area: float, seed: int = 0) -> list[tuple[Point, flo
 @pytest.fixture()
 def small_sinks():
     return make_sink_pairs(8, 18000.0, seed=3)
+
+
+# ----------------------------------------------------------------------
+# The per-pair oracle
+# ----------------------------------------------------------------------
+
+#: A level-size gate no level reaches: every level merges pair by pair.
+NEVER_SWEEP = 1 << 62
+
+
+@contextmanager
+def level_gates(batch_commit_min_pairs: int, shared_windows_min_pairs: int):
+    """Temporarily set the flow's level-size gates (pairs per level)."""
+    import repro.core.cts as cts_mod
+
+    saved = cts_mod.BATCH_COMMIT_MIN_PAIRS, cts_mod.SHARED_WINDOWS_MIN_PAIRS
+    cts_mod.BATCH_COMMIT_MIN_PAIRS = batch_commit_min_pairs
+    cts_mod.SHARED_WINDOWS_MIN_PAIRS = shared_windows_min_pairs
+    try:
+        yield
+    finally:
+        cts_mod.BATCH_COMMIT_MIN_PAIRS, cts_mod.SHARED_WINDOWS_MIN_PAIRS = saved
+
+
+def run_synthesis(
+    sinks,
+    source=None,
+    *,
+    blockages=None,
+    oracle: bool = False,
+    sweep_all: bool = False,
+    **options,
+):
+    """One synthesis plus the rebased signature of its tree.
+
+    The default is the production flow, ``synthesize``. ``oracle=True``
+    runs the per-pair oracle instead: ``_synthesize`` (no SoA mirror)
+    with the level-size gates raised so every level takes
+    ``_merge_pair``. ``sweep_all=True`` lowers the gates to one pair so
+    even the tiny levels of a small test instance take the swept
+    production kernels.
+    """
+    from repro.core import AggressiveBufferedCTS, CTSOptions
+    from repro.tree.export import tree_signature
+    from repro.tree.nodes import peek_node_id
+
+    cts = AggressiveBufferedCTS(
+        options=CTSOptions(**options), blockages=blockages
+    )
+    base = peek_node_id()
+    if oracle:
+        with level_gates(NEVER_SWEEP, NEVER_SWEEP):
+            result = cts._synthesize(sinks, source)
+    elif sweep_all:
+        with level_gates(1, 1):
+            result = cts.synthesize(sinks, source)
+    else:
+        result = cts.synthesize(sinks, source)
+    return tree_signature(result.tree, base), result
+
+
+def assert_matches_oracle(sinks, source=None, *, sweep_all=False, **kwargs):
+    """Production and the per-pair oracle build the identical tree.
+
+    Compares the rebased tree signature (topology, geometry, wires,
+    buffer types, auto names), the merge diagnostics including the
+    floating-point snake-delay sum, the level count and the flippings.
+    Returns ``(production, oracle)`` results.
+    """
+    sig, result = run_synthesis(sinks, source, sweep_all=sweep_all, **kwargs)
+    oracle_sig, oracle = run_synthesis(sinks, source, oracle=True, **kwargs)
+    assert sig == oracle_sig
+    assert result.merge_stats == oracle.merge_stats
+    assert result.levels == oracle.levels
+    assert result.n_flippings == oracle.n_flippings
+    return result, oracle
 
 
 # ----------------------------------------------------------------------

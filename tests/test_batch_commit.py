@@ -1,13 +1,13 @@
-"""Lockstep batched commit equals the scalar fallback, bit for bit.
+"""Lockstep batched commit equals the per-pair oracle, bit for bit.
 
-The contract under test: with ``batch_commit=True`` every topology
-level's merge commits advance in lockstep through the vectorized query
-engine, yet the synthesized tree — topology, geometry, wire lengths,
-buffer types, and (after the serial renumbering pass) auto-generated
-node names — is identical to the scalar fallback's, and the merge
-diagnostics (including the floating-point snake-delay sum) compare
-equal. Also unit-covers the batched query APIs against their scalar
-counterparts and the binary-search iteration accounting.
+The contract under test: every swept topology level's merge commits
+advance in lockstep through the vectorized query engine, yet the
+synthesized tree — topology, geometry, wire lengths, buffer types, and
+(after the renumbering pass) auto-generated node names — is identical
+to the per-pair oracle's (``tests.conftest.run_synthesis``), and the
+merge diagnostics (including the floating-point snake-delay sum)
+compare equal. Also unit-covers the batched query APIs against their
+scalar counterparts and the binary-search iteration accounting.
 """
 
 from __future__ import annotations
@@ -15,40 +15,30 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import AggressiveBufferedCTS, CTSOptions
+from repro.core import CTSOptions
 from repro.core.binary_search import MergeSearchState, binary_search_merge
 from repro.geom.bbox import BBox
 from repro.geom.point import Point
 from repro.timing.analysis import SLEW_QUANTUM, LibraryTimingEngine
-from repro.tree.export import tree_signature
-from repro.tree.nodes import NodeKind, make_buffer, make_sink, peek_node_id
+from repro.tree.nodes import NodeKind, make_buffer, make_sink
 
-from tests.conftest import make_sink_pairs
-
-
-def synth(sinks, batch_commit, blockages=None, **option_overrides):
-    """One synthesis run plus the rebased signature of its tree."""
-    options = CTSOptions(
-        workers=option_overrides.pop("workers", 0),
-        batch_commit=batch_commit,
-        batch_commit_min_pairs=1,
-        **option_overrides,
-    )
-    cts = AggressiveBufferedCTS(options=options, blockages=blockages)
-    base = peek_node_id()
-    result = cts.synthesize(sinks)
-    return tree_signature(result.tree, base), result
+from tests.conftest import (
+    assert_matches_oracle,
+    level_gates,
+    make_sink_pairs,
+    run_synthesis,
+)
 
 
 class TestBatchedMatchesScalar:
+    """The scalar side is the per-pair oracle, whose ``_merge_pair``
+    commits one pair at a time through scalar queries."""
+
     def _assert_identical(self, sinks, blockages=None, **overrides):
-        scalar_sig, scalar = synth(sinks, False, blockages, **overrides)
-        batched_sig, batched = synth(sinks, True, blockages, **overrides)
-        assert scalar_sig == batched_sig
-        assert scalar.merge_stats == batched.merge_stats
-        assert scalar.levels == batched.levels
-        assert scalar.n_flippings == batched.n_flippings
-        return scalar, batched
+        """Every level swept (gates at one pair) vs the per-pair oracle."""
+        return assert_matches_oracle(
+            sinks, blockages=blockages, sweep_all=True, **overrides
+        )
 
     def test_plain_instance(self):
         self._assert_identical(make_sink_pairs(24, 30000.0, seed=21))
@@ -84,31 +74,26 @@ class TestBatchedMatchesScalar:
         """An off-cluster outlier forces balance/commit snaking rounds."""
         sinks = make_sink_pairs(20, 12000.0, seed=23)
         sinks.append((Point(60000.0, 60000.0), 8e-15))
-        scalar, __ = self._assert_identical(sinks)
-        assert scalar.merge_stats.n_snaked > 0  # the scenario did snake
+        __, oracle = self._assert_identical(sinks)
+        assert oracle.merge_stats.n_snaked > 0  # the scenario did snake
 
-    def test_with_worker_pool(self):
-        """Pool-routed levels commit batched and still match scalar serial."""
-        sinks = make_sink_pairs(18, 30000.0, seed=24)
-        scalar_sig, scalar = synth(sinks, False)
-        pooled_sig, pooled = synth(
-            sinks, True, workers=2, parallel_min_level_size=1
-        )
-        assert scalar_sig == pooled_sig
-        assert scalar.merge_stats == pooled.merge_stats
+    def test_default_gates_match_oracle(self):
+        """At the production gates small levels merge pair by pair and
+        large ones sweep; the mix still equals the oracle."""
+        result, __ = assert_matches_oracle(make_sink_pairs(40, 34000.0, seed=27))
+        assert result.commit_queries["batched_rounds"] > 0
 
     def test_small_levels_fall_back_to_scalar(self):
-        """Below ``batch_commit_min_pairs`` no lockstep round is spent."""
+        """Below ``BATCH_COMMIT_MIN_PAIRS`` no lockstep round is spent."""
         sinks = make_sink_pairs(10, 20000.0, seed=25)
-        options = CTSOptions(workers=0, batch_commit=True, batch_commit_min_pairs=64)
-        cts = AggressiveBufferedCTS(options=options)
-        result = cts.synthesize(sinks)
+        with level_gates(64, 64):
+            __, result = run_synthesis(sinks)
         assert result.commit_queries["batched_rounds"] == 0
         assert len(result.tree.sinks()) == len(sinks)
 
     def test_batched_rounds_engage_on_large_levels(self):
         sinks = make_sink_pairs(40, 34000.0, seed=26)
-        __, result = synth(sinks, True)
+        __, result = run_synthesis(sinks, sweep_all=True)
         assert result.commit_queries["batched_rounds"] > 0
         assert result.commit_queries["batched_rows"] > 0
 

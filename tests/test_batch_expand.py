@@ -1,8 +1,7 @@
 """Lockstep batched profile expansion: equivalence, splits, rails.
 
 The contract of the level expansion scheduler
-(:class:`repro.core.batch_expand.LevelExpansionScheduler`,
-``CTSOptions.batch_expansion``):
+(:class:`repro.core.batch_expand.LevelExpansionScheduler`):
 
 - every builder the scheduler returns is bit-identical to a scalar
   lazily-evaluated :class:`~repro.core.segment_builder.PathBuilder`
@@ -13,14 +12,12 @@ The contract of the level expansion scheduler
   tested over random pitches spanning buffer-free, insertion-heavy,
   forced-buffer-at-step-0 and infeasible cases);
 - infeasible lanes raise the identical RuntimeError through both paths;
-- results are invariant to how lanes are grouped into ``expand`` calls
-  (the worker-pool batch split), and the pair-level SharingStats
-  counters (``expansion_lanes``/``expansion_runs``/
-  ``expansion_insertions``) are split-invariant sums;
+- results are invariant to how lanes are grouped into ``expand`` calls,
+  and the pair-level SharingStats counters (``expansion_lanes``/
+  ``expansion_runs``/``expansion_insertions``) are split-invariant sums;
 - synthesis through the scheduler is byte-identical to the per-pair
-  lazy expansion, serial and under the worker pool, and degrades to it
-  (bit-identically) on an injected ``batch_expansion`` fault — strict
-  mode re-raises instead;
+  oracle's lazy expansion, and an exception inside the scheduler
+  propagates out of synthesis (no silent fallback);
 - the binding-level memoization the scheduler pre-installs
   (:meth:`SegmentTables.any_feasible` / ``clamped_wire_delays``) is
   observable: re-binding to a seen load is a cache hit, never a
@@ -31,8 +28,8 @@ The contract of the level expansion scheduler
 import numpy as np
 import pytest
 
+import repro.core.grid_cache as grid_cache
 from repro.core.batch_expand import LevelExpansionScheduler
-from repro.core.cts import AggressiveBufferedCTS
 from repro.core.grid_cache import SharingStats
 from repro.core.options import CTSOptions
 from repro.core.segment_builder import (
@@ -41,11 +38,12 @@ from repro.core.segment_builder import (
     SegmentTables,
     SegmentTablesReference,
 )
-from repro.evalx.faultinject import FaultInjected, reset_plans
 from repro.evalx.perfstats import scaling_scenario
-from repro.tree.export import tree_signature
-from repro.tree.nodes import peek_node_id
-from tests.conftest import random_expansion_case
+from tests.conftest import (
+    assert_matches_oracle,
+    random_expansion_case,
+    run_synthesis,
+)
 
 N_CASES = 48
 
@@ -271,100 +269,35 @@ class TestDelaysView:
         assert np.array_equal(builder.delays_view(55)[:51], view)
 
 
-@pytest.fixture(autouse=True)
-def _fresh_fault_plans():
-    reset_plans()
-    yield
-    reset_plans()
-
-
-def synthesize_signature(sinks, source, blockages, **option_kwargs):
-    option_kwargs.setdefault("fault_plan", "")
-    option_kwargs.setdefault("strict", False)
-    cts = AggressiveBufferedCTS(
-        options=CTSOptions(**option_kwargs),
-        blockages=blockages or None,
-    )
-    base = peek_node_id()
-    result = cts.synthesize(sinks, source)
-    return tree_signature(result.tree, base), result
-
-
 class TestEndToEnd:
     def test_blockage_scenario_serial(self):
         sinks, source, blockages = scaling_scenario(120, True)
-        batched_sig, batched = synthesize_signature(
-            sinks, source, blockages, workers=0, batch_expansion=True
+        batched, oracle = assert_matches_oracle(
+            sinks, source, blockages=blockages
         )
-        per_pair_sig, per_pair = synthesize_signature(
-            sinks, source, blockages, workers=0, batch_expansion=False
-        )
-        assert batched_sig == per_pair_sig
-        assert batched.merge_stats == per_pair.merge_stats
-        assert batched.levels == per_pair.levels
-        # The scheduler actually engaged (and the fallback did not).
+        # The scheduler actually engaged (and the oracle never did).
         assert batched.route_sharing["expansion_lanes"] > 0
         assert batched.route_sharing["expansion_runs"] > 0
         assert batched.route_sharing["curve_points"] > 0
-        assert per_pair.route_sharing["expansion_lanes"] == 0
-        assert per_pair.route_sharing["curve_points"] == 0
-        # Both sides routed the same pairs through the same windows.
-        for key in ("pairs_routed", "windows_served"):
-            assert batched.route_sharing[key] == per_pair.route_sharing[key]
+        assert oracle.route_sharing["expansion_lanes"] == 0
+        assert oracle.route_sharing["curve_points"] == 0
 
-    def test_blockage_scenario_pooled(self):
-        """Lockstep expansion under the worker pool: each worker batch
-        runs its own scheduler, stats ship back and sum — identical to
-        serial batched and to the serial per-pair fallback."""
-        sinks, source, blockages = scaling_scenario(120, True)
-        pooled_sig, pooled = synthesize_signature(
-            sinks, source, blockages, workers=2, batch_expansion=True
-        )
-        serial_sig, serial = synthesize_signature(
-            sinks, source, blockages, workers=0, batch_expansion=True
-        )
-        per_pair_sig, per_pair = synthesize_signature(
-            sinks, source, blockages, workers=0, batch_expansion=False
-        )
-        assert pooled_sig == serial_sig == per_pair_sig
-        assert pooled.merge_stats == per_pair.merge_stats
-        assert pooled.levels == per_pair.levels
-        # Pair-level counters are batch-split invariant: the pooled sum
-        # equals the serial whole-level scheduler's exactly.
-        for key in PAIR_LEVEL_COUNTERS + ("curve_points",):
-            assert pooled.route_sharing[key] == serial.route_sharing[key], key
-
-    def test_fault_degrades_to_per_pair(self):
+    def test_hstructure_reestimation_scenario(self):
         sinks, source, blockages = scaling_scenario(60, True)
-        clean_sig, clean = synthesize_signature(
-            sinks, source, blockages, workers=0, batch_expansion=True
+        batched, __ = assert_matches_oracle(
+            sinks, source, blockages=blockages, hstructure="reestimate"
         )
-        assert clean.degradations == []
-        reset_plans()
-        faulted_sig, faulted = synthesize_signature(
-            sinks,
-            source,
-            blockages,
-            workers=0,
-            batch_expansion=True,
-            fault_plan="batch_expansion:0:raise",
-            strict=False,
-        )
-        assert faulted_sig == clean_sig
-        assert faulted.merge_stats == clean.merge_stats
-        assert [d.component for d in faulted.degradations] == [
-            "batch_expansion"
-        ]
+        assert batched.route_sharing["expansion_lanes"] > 0
 
-    def test_strict_mode_reraises(self):
+    def test_strict_mode_reraises(self, monkeypatch):
+        """Every run is strict: a failing scheduler is a bug, and
+        synthesis raises instead of falling back to the per-pair
+        expansion."""
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("scheduler bug")
+
+        monkeypatch.setattr(grid_cache, "expand_level", broken)
         sinks, source, blockages = scaling_scenario(60, True)
-        with pytest.raises(FaultInjected):
-            synthesize_signature(
-                sinks,
-                source,
-                blockages,
-                workers=0,
-                batch_expansion=True,
-                fault_plan="batch_expansion:0:raise",
-                strict=True,
-            )
+        with pytest.raises(RuntimeError, match="scheduler bug"):
+            run_synthesis(sinks, source, blockages=blockages)

@@ -1,28 +1,23 @@
 """Level-batched route finishing: equivalence, properties, descent.
 
 The contract of the route-finishing kernel
-(:func:`repro.core.grid_cache._finish_level`,
-``CTSOptions.batch_route_finish``):
+(:func:`repro.core.grid_cache._finish_level`):
 
 - synthesis through the level-batched kernel (one structure-of-arrays
   ranking pass per level + lockstep batched descent) is byte-identical —
-  tree signature and merge stats — to the per-pair finish, on blockage,
-  H-structure and snaking scenarios, serial and under the worker pool;
+  tree signature and merge stats — to the per-pair oracle, on blockage,
+  H-structure and snaking scenarios;
 - results are invariant to how a level is split into batches;
 - the batched ranking picks the same argmin cell as the scalar loop
   under ties (property-tested over random tie-rich cases);
 - :func:`repro.core.maze_router.descend_many` walks every distance
   field exactly like scalar :meth:`MazeGrid.descend` (the documented
-  +x/-x/+y/-y priority), including degenerate windows;
-- route-phase counters (:class:`repro.core.grid_cache.SharingStats`)
-  are order-independent under the worker pool — batch stats are summed
-  on gather — so stats equality is asserted here instead of skipped.
+  +x/-x/+y/-y priority), including degenerate windows.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.cts import AggressiveBufferedCTS
 from repro.core.grid_cache import GridCache, route_level
 from repro.core.maze_router import MazeGrid, descend_many, rank_candidates
 from repro.core.options import CTSOptions
@@ -34,35 +29,13 @@ from repro.core.routing_common import (
 from repro.evalx.perfstats import scaling_scenario
 from repro.geom.bbox import BBox
 from repro.geom.point import Point
-from repro.tree.export import tree_signature
-from repro.tree.nodes import peek_node_id
 from tests.conftest import (
+    assert_matches_oracle,
     random_blocked_grid,
     random_descent_case,
     random_ranking_case,
+    run_synthesis,
 )
-
-#: The pair-level SharingStats counters that are invariant to the batch
-#: split (sums over pairs), and hence must agree between the serial flow
-#: and the worker pool's summed batch stats.
-PAIR_LEVEL_COUNTERS = (
-    "pairs_routed",
-    "windows_served",
-    "cells_ranked",
-    "descent_sides",
-    "descent_cells",
-    "curve_points",
-)
-
-
-def synthesize_signature(sinks, source, blockages, **option_kwargs):
-    cts = AggressiveBufferedCTS(
-        options=CTSOptions(**option_kwargs),
-        blockages=blockages or None,
-    )
-    base = peek_node_id()
-    result = cts.synthesize(sinks, source)
-    return tree_signature(result.tree, base), result
 
 
 def snaking_scenario():
@@ -79,92 +52,41 @@ def snaking_scenario():
 
 
 class TestBatchedEqualsPerPair:
+    """The per-pair side is the oracle (``tests.conftest.run_synthesis``)."""
+
     def test_blockage_scenario_serial(self):
         sinks, source, blockages = scaling_scenario(120, True)
-        batched_sig, batched = synthesize_signature(
-            sinks, source, blockages, workers=0, batch_route_finish=True
+        batched, oracle = assert_matches_oracle(
+            sinks, source, blockages=blockages
         )
-        per_pair_sig, per_pair = synthesize_signature(
-            sinks, source, blockages, workers=0, batch_route_finish=False
-        )
-        assert batched_sig == per_pair_sig
-        assert batched.merge_stats == per_pair.merge_stats
-        assert batched.levels == per_pair.levels
-        # the kernel actually engaged (and the fallback did not)
+        # the kernel actually engaged (and the oracle never did)
         assert batched.route_sharing["finish_batches"] > 0
         assert batched.route_sharing["cells_ranked"] > 0
         assert batched.route_sharing["descent_sides"] > 0
-        assert per_pair.route_sharing["finish_batches"] == 0
-        # both sides routed the same pairs through the same windows
-        for key in ("pairs_routed", "windows_served", "curve_points"):
-            assert batched.route_sharing[key] == per_pair.route_sharing[key]
+        assert oracle.route_sharing["finish_batches"] == 0
 
-    def test_blockage_scenario_pooled(self):
-        """Batched finishing under the PR 2 worker pool: worker batches
-        run the same kernel over batch-local caches, still identical to
-        the serial per-pair finish — and the route-phase counters are
-        shipped back and summed, so stats are asserted, not skipped."""
+    def test_repeat_runs_are_deterministic(self):
+        """Two production runs agree on the tree and every route-phase
+        counter."""
         sinks, source, blockages = scaling_scenario(120, True)
-        pooled_sig, pooled = synthesize_signature(
-            sinks, source, blockages, workers=2, batch_route_finish=True
-        )
-        per_pair_sig, per_pair = synthesize_signature(
-            sinks, source, blockages, workers=0, batch_route_finish=False
-        )
-        serial_sig, serial = synthesize_signature(
-            sinks, source, blockages, workers=0, batch_route_finish=True
-        )
-        assert pooled_sig == per_pair_sig == serial_sig
-        assert pooled.merge_stats == per_pair.merge_stats
-        assert pooled.levels == per_pair.levels
-        # Pooled counters are the sum of the worker batches' stats: the
-        # pair-level counters equal the serial flow's exactly.
-        assert pooled.route_sharing["finish_batches"] > 0
-        for key in PAIR_LEVEL_COUNTERS:
-            assert pooled.route_sharing[key] == serial.route_sharing[key], key
-        # And pooled runs are deterministic end to end (summing batch
-        # stats on gather is order-independent).
-        again_sig, again = synthesize_signature(
-            sinks, source, blockages, workers=2, batch_route_finish=True
-        )
-        assert again_sig == pooled_sig
-        assert again.route_sharing == pooled.route_sharing
+        first_sig, first = run_synthesis(sinks, source, blockages=blockages)
+        again_sig, again = run_synthesis(sinks, source, blockages=blockages)
+        assert again_sig == first_sig
+        assert again.route_sharing == first.route_sharing
 
     def test_hstructure_scenario(self):
         """H-structure correction interleaves per-pair re-routing with
-        swept levels — both finishing paths must agree through it."""
+        swept levels — the kernel must agree with the oracle through it."""
         sinks, source, blockages = scaling_scenario(60, True)
-        batched_sig, batched = synthesize_signature(
-            sinks,
-            source,
-            blockages,
-            workers=0,
-            batch_route_finish=True,
-            hstructure="correct",
+        batched, __ = assert_matches_oracle(
+            sinks, source, blockages=blockages, hstructure="correct"
         )
-        per_pair_sig, per_pair = synthesize_signature(
-            sinks,
-            source,
-            blockages,
-            workers=0,
-            batch_route_finish=False,
-            hstructure="correct",
-        )
-        assert batched_sig == per_pair_sig
-        assert batched.merge_stats == per_pair.merge_stats
         assert batched.route_sharing["finish_batches"] > 0
 
     def test_snaking_scenario(self):
         sinks, source, blockages = snaking_scenario()
-        batched_sig, batched = synthesize_signature(
-            sinks, source, blockages, workers=0, batch_route_finish=True
-        )
-        per_pair_sig, per_pair = synthesize_signature(
-            sinks, source, blockages, workers=0, batch_route_finish=False
-        )
+        batched, __ = assert_matches_oracle(sinks, source, blockages=blockages)
         assert batched.merge_stats.n_snaked > 0, "scenario must exercise snaking"
-        assert batched_sig == per_pair_sig
-        assert batched.merge_stats == per_pair.merge_stats
 
 
 class TestBatchSplitInvariance:
@@ -172,7 +94,7 @@ class TestBatchSplitInvariance:
 
     @pytest.fixture(scope="class")
     def routed(self, library):
-        options = CTSOptions(router="maze", batch_route_finish=True)
+        options = CTSOptions(router="maze")
         stage_length = slew_limited_length(library, options.target_slew)
         blockages = [
             BBox(4000, -2000, 5000, 1200),

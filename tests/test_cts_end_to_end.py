@@ -1,15 +1,19 @@
 """Full synthesis flow, verified with the mini-SPICE substrate."""
 
+import os
+
 import pytest
 
 from repro.core import AggressiveBufferedCTS, CTSOptions, synthesize_clock_tree
 from repro.evalx import evaluate_tree
+from repro.evalx.faultinject import SynthesisHalted, reset_plans
 from repro.geom import Point
 from repro.geom.bbox import BBox
-from repro.tree.nodes import NodeKind
+from repro.tree.export import tree_signature
+from repro.tree.nodes import NodeKind, peek_node_id
 from repro.tree.validate import validate_tree
 
-from tests.conftest import make_sink_pairs
+from tests.conftest import assert_matches_oracle, make_sink_pairs, run_synthesis
 
 
 class TestSmallSynthesis:
@@ -132,3 +136,87 @@ class TestOptionsVariants:
             CTSOptions(slew_margin=0.0)
         with pytest.raises(ValueError):
             CTSOptions(hstructure="magic")
+        with pytest.raises(ValueError):
+            CTSOptions(workers=2)
+        assert CTSOptions(workers=1).workers == 1
+
+    def test_environment_does_not_change_options(self, monkeypatch):
+        """No option default reads the environment: every former
+        synthesis knob variable, set to a non-default value, leaves
+        ``CTSOptions()`` equal to one built under a clean environment."""
+        for name in [k for k in os.environ if k.startswith("REPRO_")]:
+            monkeypatch.delenv(name)
+        clean = CTSOptions()
+        former_knobs = {
+            "REPRO_WORKERS": "2",
+            "REPRO_BATCH_COMMIT": "0",
+            "REPRO_SHARED_WINDOWS": "0",
+            "REPRO_BATCH_ROUTE_FINISH": "0",
+            "REPRO_BATCH_EXPANSION": "0",
+            "REPRO_SOA_COMMIT": "0",
+            "REPRO_STRICT": "1",
+            "REPRO_POOL_TIMEOUT": "7",
+            "REPRO_FAULT_PLAN": "checkpoint:0:halt",
+        }
+        for name, value in former_knobs.items():
+            monkeypatch.setenv(name, value)
+        assert CTSOptions() == clean
+
+
+def _blocked_instance(n, seed):
+    blockages = [BBox(9000.0, 6000.0, 15000.0, 20000.0)]
+    clear = blockages[0].expanded(1200.0)
+    sinks = [
+        (p, c)
+        for p, c in make_sink_pairs(n, 30000.0, seed=seed)
+        if not clear.contains(p)
+    ]
+    return sinks, blockages
+
+
+class TestMatchesPerPairOracle:
+    """Default ``synthesize`` builds the per-pair oracle's exact tree
+    (``tests.conftest.run_synthesis``) on every flow variant."""
+
+    def test_profile_router(self):
+        result, __ = assert_matches_oracle(make_sink_pairs(40, 34000.0, seed=31))
+        assert result.commit_queries["batched_rounds"] > 0
+
+    def test_maze_router(self):
+        result, __ = assert_matches_oracle(
+            make_sink_pairs(24, 30000.0, seed=32), router="maze"
+        )
+        assert result.route_sharing["pairs_routed"] > 0
+
+    def test_blockages(self):
+        sinks, blockages = _blocked_instance(30, seed=33)
+        result, __ = assert_matches_oracle(
+            sinks, Point(0.0, 0.0), blockages=blockages
+        )
+        assert result.route_sharing["pairs_routed"] > 0
+
+    @pytest.mark.parametrize("mode", ["reestimate", "correct"])
+    def test_hstructure(self, mode):
+        sinks, blockages = _blocked_instance(30, seed=34)
+        assert_matches_oracle(sinks, blockages=blockages, hstructure=mode)
+
+    def test_halt_and_resume(self, tmp_path):
+        sinks, blockages = _blocked_instance(30, seed=35)
+        oracle_sig, oracle = run_synthesis(sinks, blockages=blockages, oracle=True)
+        reset_plans()
+        base = peek_node_id()
+        with pytest.raises(SynthesisHalted):
+            run_synthesis(
+                sinks,
+                blockages=blockages,
+                checkpoint_dir=str(tmp_path),
+                fault_plan="checkpoint:1:halt",
+            )
+        reset_plans()
+        resumer = AggressiveBufferedCTS(
+            options=CTSOptions(resume_from=str(tmp_path)), blockages=blockages
+        )
+        resumed = resumer.synthesize(sinks)
+        assert resumed.resumed_from == 2
+        assert tree_signature(resumed.tree, base) == oracle_sig
+        assert resumed.merge_stats == oracle.merge_stats

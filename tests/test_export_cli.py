@@ -107,6 +107,30 @@ class TestCLI:
         text = spice_path.read_text()
         assert ".END" in text
 
+    def test_violation_still_writes_exports(self, capsys, tmp_path, monkeypatch):
+        """A verified slew violation exits 1 only after every requested
+        export is written, so the failing tree can be inspected."""
+        import repro.evalx
+        from types import SimpleNamespace
+
+        def violating(tree, tech, dt=None):
+            return SimpleNamespace(worst_slew=250e-12, skew=1e-12, latency=1e-9)
+
+        monkeypatch.setattr(repro.evalx, "evaluate_tree", violating)
+        paths = {ext: tmp_path / f"tree.{ext}" for ext in ("json", "dot", "sp")}
+        code = cli_main(
+            [
+                "synthesize", "--random", "4", "--area", "8000",
+                "--json", str(paths["json"]),
+                "--dot", str(paths["dot"]),
+                "--spice", str(paths["sp"]),
+            ]
+        )
+        assert code == 1
+        assert "SLEW CONSTRAINT VIOLATED" in capsys.readouterr().err
+        for path in paths.values():
+            assert path.exists() and path.stat().st_size > 0
+
     def test_bench_table_52(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_FULL", "")
         code = cli_main(["bench", "--table", "5.2", "--scale", "8"])

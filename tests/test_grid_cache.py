@@ -4,10 +4,8 @@ The contract of :mod:`repro.core.grid_cache`:
 
 - synthesis through the shared-window path (level tile cache + cross-pair
   batcher) is byte-identical — tree signature and merge stats — to the
-  per-pair fallback, on blockage, H-structure and snaking scenarios,
-  serial and under the worker pool;
-- routing results are invariant to how a level is split into batches
-  (what makes pooled execution compose);
+  per-pair oracle, on blockage, H-structure and snaking scenarios;
+- routing results are invariant to how a level is split into batches;
 - tiles are immutable and shared: equal window keys are served the same
   grid, and the documented ``nearest_free`` fallback scan is
   deterministic no matter which pair first touched the tile.
@@ -16,7 +14,6 @@ The contract of :mod:`repro.core.grid_cache`:
 import numpy as np
 import pytest
 
-from repro.core.cts import AggressiveBufferedCTS
 from repro.core.grid_cache import GridCache, route_level
 from repro.core.maze_router import MazeGrid
 from repro.core.options import CTSOptions
@@ -24,18 +21,8 @@ from repro.core.routing_common import RouteTerminal, slew_limited_length
 from repro.evalx.perfstats import scaling_scenario
 from repro.geom.bbox import BBox
 from repro.geom.point import Point
-from repro.tree.export import tree_signature
-from repro.tree.nodes import make_sink, peek_node_id
 
-
-def synthesize_signature(sinks, source, blockages, **option_kwargs):
-    cts = AggressiveBufferedCTS(
-        options=CTSOptions(**option_kwargs),
-        blockages=blockages or None,
-    )
-    base = peek_node_id()
-    result = cts.synthesize(sinks, source)
-    return tree_signature(result.tree, base), result
+from tests.conftest import assert_matches_oracle
 
 
 def snaking_scenario():
@@ -52,70 +39,30 @@ def snaking_scenario():
 
 
 class TestSharedEqualsPerPair:
+    """The per-pair side is the oracle (``tests.conftest.run_synthesis``)."""
+
     def test_blockage_scenario_serial(self):
         sinks, source, blockages = scaling_scenario(120, True)
-        shared_sig, shared = synthesize_signature(
-            sinks, source, blockages, workers=0, shared_windows=True
+        shared, oracle = assert_matches_oracle(
+            sinks, source, blockages=blockages
         )
-        per_pair_sig, per_pair = synthesize_signature(
-            sinks, source, blockages, workers=0, shared_windows=False
-        )
-        assert shared_sig == per_pair_sig
-        assert shared.merge_stats == per_pair.merge_stats
-        assert shared.levels == per_pair.levels
-        # the shared subsystem actually engaged (and the fallback did not)
-        assert shared.route_sharing["windows_served"] > 0
-        assert per_pair.route_sharing["windows_served"] == 0
-
-    def test_blockage_scenario_pooled(self):
-        """Shared windows under the PR 2 worker pool: worker batches route
-        through batch-local caches, still identical to the serial
-        per-pair fallback."""
-        sinks, source, blockages = scaling_scenario(120, True)
-        pooled_sig, pooled = synthesize_signature(
-            sinks, source, blockages, workers=2, shared_windows=True
-        )
-        per_pair_sig, __ = synthesize_signature(
-            sinks, source, blockages, workers=0, shared_windows=False
-        )
-        assert pooled_sig == per_pair_sig
-        assert pooled.levels > 0
+        # the level batcher actually engaged (and the oracle never did)
+        assert shared.route_sharing["pairs_routed"] > 0
+        assert oracle.route_sharing["pairs_routed"] == 0
 
     def test_hstructure_scenario(self):
         """H-structure correction re-routes each pair once per candidate
         pairing — the flow where equal window keys genuinely recur."""
         sinks, source, blockages = scaling_scenario(60, True)
-        shared_sig, shared = synthesize_signature(
-            sinks,
-            source,
-            blockages,
-            workers=0,
-            shared_windows=True,
-            hstructure="correct",
+        shared, __ = assert_matches_oracle(
+            sinks, source, blockages=blockages, hstructure="correct"
         )
-        per_pair_sig, per_pair = synthesize_signature(
-            sinks,
-            source,
-            blockages,
-            workers=0,
-            shared_windows=False,
-            hstructure="correct",
-        )
-        assert shared_sig == per_pair_sig
-        assert shared.merge_stats == per_pair.merge_stats
         assert shared.route_sharing["tiles_reused"] > 0
 
     def test_snaking_scenario(self):
         sinks, source, blockages = snaking_scenario()
-        shared_sig, shared = synthesize_signature(
-            sinks, source, blockages, workers=0, shared_windows=True
-        )
-        per_pair_sig, per_pair = synthesize_signature(
-            sinks, source, blockages, workers=0, shared_windows=False
-        )
+        shared, __ = assert_matches_oracle(sinks, source, blockages=blockages)
         assert shared.merge_stats.n_snaked > 0, "scenario must exercise snaking"
-        assert shared_sig == per_pair_sig
-        assert shared.merge_stats == per_pair.merge_stats
 
 
 class TestBatchInvariance:

@@ -1,55 +1,48 @@
-"""Parallel merge routing equals the serial flow, bit for bit.
+"""Swept levels renumber into per-pair creation order.
 
-The contract under test: with ``workers >= 2`` the route phase of every
-topology level runs on a process pool, yet the synthesized tree —
-topology, geometry, wire lengths, buffer types, and (after the serial
-renumbering pass) even auto-generated node names — is identical to the
-serial flow's, and the merge diagnostics aggregate to the same totals.
+A swept topology level creates its nodes phase by phase (every prepare,
+then every commit) for all its pairs side by side; :mod:`repro.core.
+parallel_merge` maps those ids back onto the order merging the level
+pair by pair would have produced, so node ids and auto names match the
+serial per-pair flow. This module checks that end to end against the
+per-pair oracle (``tests.conftest.run_synthesis``) and unit-covers the
+mapping and the matching tie-breaks it relies on.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import multiprocessing.pool
+import multiprocessing.process
+import os
 import pickle
+import subprocess
 
-import pytest
-
-from repro.core import AggressiveBufferedCTS, CTSOptions, MergeStats
-from repro.core.parallel_merge import (
-    ParallelMergeExecutor,
-    serial_id_mapping,
-)
+from repro.core import MergeStats
+from repro.core.parallel_merge import renumber_subtrees, serial_id_mapping
 from repro.core.topology import SubTree, greedy_matching, select_seed
 from repro.geom.bbox import BBox
 from repro.geom.point import Point
 from repro.timing.analysis import SubtreeBounds
-from repro.tree.export import tree_signature
-from repro.tree.nodes import make_sink, peek_node_id
+from repro.tree.nodes import make_merge, make_sink
 
-from tests.conftest import make_sink_pairs
-
-
-def synth(sinks, workers, blockages=None, **option_overrides):
-    """One synthesis run plus the rebased signature of its tree."""
-    options = CTSOptions(
-        workers=workers,
-        parallel_min_level_size=1,
-        merge_batch_size=2,
-        **option_overrides,
-    )
-    cts = AggressiveBufferedCTS(options=options, blockages=blockages)
-    base = peek_node_id()
-    result = cts.synthesize(sinks)
-    return tree_signature(result.tree, base), result
+from tests.conftest import (
+    assert_matches_oracle,
+    level_gates,
+    make_sink_pairs,
+    run_synthesis,
+)
 
 
 class TestParallelMatchesSerial:
+    """Every level swept (gates at one pair), renumbered, equals the
+    serial per-pair oracle: signature (ids and auto names included),
+    merge diagnostics, level count and flippings."""
+
     def _assert_identical(self, sinks, blockages=None, **overrides):
-        serial_sig, serial = synth(sinks, 0, blockages, **overrides)
-        parallel_sig, parallel = synth(sinks, 2, blockages, **overrides)
-        assert serial_sig == parallel_sig
-        assert serial.merge_stats == parallel.merge_stats
-        assert serial.levels == parallel.levels
-        assert serial.n_flippings == parallel.n_flippings
+        return assert_matches_oracle(
+            sinks, blockages=blockages, sweep_all=True, **overrides
+        )
 
     def test_even_level_sizes(self):
         self._assert_identical(make_sink_pairs(16, 30000.0, seed=11))
@@ -69,7 +62,8 @@ class TestParallelMatchesSerial:
             if not any(region.contains(p) for region in clear)
         ]
         assert len(sinks) >= 10
-        self._assert_identical(sinks, blockages=blockages)
+        result, __ = self._assert_identical(sinks, blockages=blockages)
+        assert result.route_sharing["pairs_routed"] > 0
 
     def test_with_hstructure_correction(self):
         self._assert_identical(
@@ -82,53 +76,35 @@ class TestParallelMatchesSerial:
         )
 
     def test_small_levels_fall_back_to_serial(self):
-        """Below ``parallel_min_level_size`` no pool is ever spawned."""
+        """Below the level-size gates every level merges pair by pair."""
         sinks = make_sink_pairs(6, 20000.0, seed=16)
-        options = CTSOptions(workers=2, parallel_min_level_size=64)
-        cts = AggressiveBufferedCTS(options=options)
-        result = cts.synthesize(sinks)
+        oracle_sig, __ = run_synthesis(sinks, oracle=True)
+        with level_gates(64, 64):
+            sig, result = run_synthesis(sinks)
+        assert sig == oracle_sig
+        assert result.commit_queries["batched_rounds"] == 0
         assert len(result.tree.sinks()) == len(sinks)
 
 
 class TestExecutor:
-    def test_rejects_single_worker(self, library):
-        cts = AggressiveBufferedCTS(options=CTSOptions())
-        with pytest.raises(ValueError):
-            ParallelMergeExecutor(cts.router, workers=1)
-
-    def test_context_pickles_before_pool_spawn(self):
-        """Construction validates picklability without starting workers."""
-        cts = AggressiveBufferedCTS(options=CTSOptions())
-        executor = ParallelMergeExecutor(cts.router, workers=2)
-        assert executor._pool is None
-        executor.close()
+    """Synthesis executes in the calling process, and the library it
+    routes with still pickles exactly."""
 
     def test_pool_spawn_failure_routes_in_process(self, monkeypatch):
         """A host that cannot fork still finishes with identical results."""
-        import repro.core.parallel_merge as pm
 
         def refuse(*args, **kwargs):
             raise OSError("Resource temporarily unavailable")
 
         sinks = make_sink_pairs(10, 24000.0, seed=17)
-        serial_sig, _ = synth(sinks, 0)
-        monkeypatch.setattr(pm, "ProcessPoolExecutor", refuse)
-        options = CTSOptions(workers=2, parallel_min_level_size=1)
-        cts = AggressiveBufferedCTS(options=options)
-        base = peek_node_id()
-        result = cts.synthesize(sinks)
-        assert tree_signature(result.tree, base) == serial_sig
-        assert "OSError" in cts.parallel_fallback_reason
-
-    def test_unpicklable_context_falls_back_to_serial(self):
-        cts = AggressiveBufferedCTS(
-            options=CTSOptions(workers=2, parallel_min_level_size=1)
-        )
-        cts.router.blockages = [lambda: None]  # poison: unpicklable
-        assert cts._make_executor() is None
-        assert "PicklingError" in cts.parallel_fallback_reason or "Error" in (
-            cts.parallel_fallback_reason or ""
-        )
+        oracle_sig, __ = run_synthesis(sinks, oracle=True)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(multiprocessing.pool, "Pool", refuse)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        monkeypatch.setattr(os, "fork", refuse)
+        sig, __ = run_synthesis(sinks, workers=1)
+        assert sig == oracle_sig
 
     def test_library_pickle_round_trip_is_exact(self, library):
         clone = pickle.loads(pickle.dumps(library))
@@ -151,6 +127,19 @@ class TestSerialIdMapping:
     def test_identity_when_already_serial(self):
         spans = [[(5, 7), (7, 9)], [(9, 10), (10, 12)]]
         assert serial_id_mapping(5, spans) == {}
+
+    def test_renumber_rewrites_ids_and_auto_names(self, engine):
+        left = make_sink(Point(0.0, 0.0), 5e-15, "s_left")
+        right = make_sink(Point(10.0, 0.0), 5e-15, "s_right")
+        merge = make_merge(Point(5.0, 0.0))
+        merge.attach(left)
+        merge.attach(right)
+        old = merge.id
+        new = old + 1_000_000
+        renumber_subtrees([merge], {old: new}, engine)
+        assert merge.id == new
+        assert merge.name == f"m{new}"
+        assert (left.name, right.name) == ("s_left", "s_right")
 
 
 class TestMergeStats:

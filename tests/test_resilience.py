@@ -1,11 +1,10 @@
-"""Fault-tolerant synthesis: degradation, checkpoint/resume, fault plans.
+"""Environmental resilience: checkpoint/resume, torn writes, fault plans.
 
-The contract under test: every fast path of the flow (worker pool,
-lockstep batched commit, shared-window routing, level-batched route
-finishing) degrades on failure to its retained scalar fallback with a
-bit-identical tree and exactly one recorded ``Degradation`` per cause;
-strict mode re-raises instead; and a synthesis killed at a level
-boundary resumes from its checkpoint bit-identically.
+The contract under test: a synthesis killed at a level boundary resumes
+from its checkpoint bit-identically (in the production flow or the
+per-pair oracle); a torn or truncated checkpoint is detected by its
+digest and skipped; incompatible checkpoints fail loudly; a failure
+or MemoryError inside a level kernel surfaces from synthesis.
 
 Deterministic faults come from :mod:`repro.evalx.faultinject`
 (``site:index:mode`` plans); every test compares against a clean run's
@@ -18,7 +17,10 @@ import os
 
 import pytest
 
+import repro.core.checkpoint as checkpoint
+import repro.core.grid_cache as grid_cache
 from repro.core import AggressiveBufferedCTS, CTSOptions
+from repro.core.batch_commit import BatchCommitScheduler
 from repro.core.checkpoint import (
     CorruptCheckpointError,
     load_checkpoint,
@@ -35,7 +37,7 @@ from repro.geom.bbox import BBox
 from repro.tree.export import tree_signature
 from repro.tree.nodes import peek_node_id
 
-from tests.conftest import make_sink_pairs
+from tests.conftest import make_sink_pairs, run_synthesis
 
 BLOCKAGES = [BBox(8000.0, 8000.0, 16000.0, 16000.0)]
 
@@ -49,22 +51,12 @@ def _fresh_fault_plans():
 
 
 def synth(sinks, blockages=None, **option_overrides):
-    """One synthesis run plus the rebased signature of its tree.
-
-    Chaos/strict CI legs export ``REPRO_FAULT_PLAN``/``REPRO_STRICT``;
-    pin both so this module's reference runs stay clean under them.
-    """
-    option_overrides.setdefault("fault_plan", "")
-    option_overrides.setdefault("strict", False)
-    option_overrides.setdefault("workers", 0)
+    """One synthesis run plus the rebased signature of its tree."""
     options = CTSOptions(**option_overrides)
     cts = AggressiveBufferedCTS(options=options, blockages=blockages)
     base = peek_node_id()
     result = cts.synthesize(sinks)
     return tree_signature(result.tree, base), result, cts
-
-
-POOL = dict(workers=2, parallel_min_level_size=1, merge_batch_size=2)
 
 
 def blocked_sinks(n, seed):
@@ -81,10 +73,10 @@ def blocked_sinks(n, seed):
 
 class TestFaultPlanGrammar:
     def test_parse(self):
-        plan = FaultPlan.parse("worker_batch:2:crash, batch_commit:1:raise")
+        plan = FaultPlan.parse("checkpoint_torn:2:torn, checkpoint:1:halt")
         assert [(s.site, s.index, s.mode) for s in plan.specs] == [
-            ("worker_batch", 2, "crash"),
-            ("batch_commit", 1, "raise"),
+            ("checkpoint_torn", 2, "torn"),
+            ("checkpoint", 1, "halt"),
         ]
 
     def test_empty_plan(self):
@@ -95,7 +87,12 @@ class TestFaultPlanGrammar:
         [
             ("worker_batch:2", "expected site:index:mode"),
             ("warp_core:0:raise", "unknown site"),
+            ("worker_batch:0:raise", "unknown site"),
+            ("batch_commit:0:raise", "unknown site"),
+            # A malformed mode or index is reported before the site is
+            # looked up in the registry.
             ("batch_commit:0:explode", "unknown mode"),
+            ("checkpoint:0:crash", "unknown mode"),
             ("batch_commit:x:raise", "index must be an integer"),
             ("batch_commit:-1:raise", "index must be >= 0"),
         ],
@@ -105,158 +102,83 @@ class TestFaultPlanGrammar:
             FaultPlan.parse(text)
 
     def test_counter_site_fires_once(self):
-        plan = FaultPlan.parse("batch_commit:1:raise")
-        plan.consult("batch_commit")  # visit 0
+        plan = FaultPlan.parse("checkpoint:1:raise")
+        plan.consult("checkpoint")  # visit 0
         with pytest.raises(FaultInjected):
-            plan.consult("batch_commit")  # visit 1 fires
-        plan.consult("batch_commit")  # never re-fires
+            plan.consult("checkpoint")  # visit 1 fires
+        plan.consult("checkpoint")  # never re-fires
 
-    def test_ordinal_site_refires(self):
-        plan = FaultPlan.parse("worker_batch:3:raise")
-        plan.consult("worker_batch", 2)
-        with pytest.raises(FaultInjected):
-            plan.consult("worker_batch", 3)
-        with pytest.raises(FaultInjected):
-            plan.consult("worker_batch", 3)  # a retried batch fails again
+    def test_torn_returns_its_mode(self):
+        plan = FaultPlan.parse("checkpoint_torn:0:torn")
+        assert plan.consult("checkpoint_torn") == "torn"
+        assert plan.consult("checkpoint_torn") is None
 
 
-class TestPoolDegradation:
-    def _clean_and_faulted(self, fault_plan, n=16, **overrides):
-        sinks = make_sink_pairs(n, 30000.0, seed=21)
-        clean_sig, clean, _ = synth(sinks)
-        reset_plans()
-        sig, result, cts = synth(
-            sinks, fault_plan=fault_plan, **{**POOL, **overrides}
-        )
-        assert sig == clean_sig
-        return result, cts
+def fail_on_call(monkeypatch, owner, name, index, exc):
+    """Make call number ``index`` (0-based) of ``owner.name`` raise ``exc``."""
+    original = getattr(owner, name)
+    calls = []
 
-    def test_worker_exception_degrades_one_batch(self):
-        result, cts = self._clean_and_faulted("worker_batch:1:raise")
-        assert [d.component for d in result.degradations] == ["pool"]
-        assert "worker batch 1 failed" in result.degradations[0].reason
-        assert cts.parallel_fallback_reason is None
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == index + 1:
+            raise exc
+        return original(*args, **kwargs)
 
-    def test_worker_crash_respawns_pool(self):
-        result, cts = self._clean_and_faulted("worker_batch:2:crash")
-        assert [d.component for d in result.degradations] == ["pool"]
-        # One break is within the respawn budget: not permanent.
-        assert cts.parallel_fallback_reason is None
+    monkeypatch.setattr(owner, name, failing)
+    return calls
 
-    def test_second_crash_degrades_permanently(self):
-        result, cts = self._clean_and_faulted(
-            "worker_batch:0:crash,worker_batch:6:crash"
-        )
-        assert [d.component for d in result.degradations] == ["pool", "pool"]
-        assert cts.parallel_fallback_reason is not None
-        assert "permanently" in cts.parallel_fallback_reason
 
-    def test_timeout_backoff_then_degrade(self):
-        # The injected timeout sleeps past the retry's doubled budget,
-        # so the ladder concludes the pool is wedged and replaces it.
-        result, __ = self._clean_and_faulted(
-            "worker_batch:2:timeout", pool_timeout=0.2
-        )
-        assert [d.component for d in result.degradations] == ["pool"]
-        assert "timed out twice" in result.degradations[0].reason
-
-    def test_strict_mode_reraises_and_cleans_up(self, monkeypatch):
-        import repro.core.cts as cts_mod
-
-        captured = []
-        original = cts_mod.AggressiveBufferedCTS._make_executor
-
-        def capture(self):
-            executor = original(self)
-            captured.append(executor)
-            return executor
-
-        monkeypatch.setattr(
-            cts_mod.AggressiveBufferedCTS, "_make_executor", capture
-        )
-        sinks = make_sink_pairs(16, 30000.0, seed=21)
-        with pytest.raises(RuntimeError, match="strict mode"):
-            synth(sinks, fault_plan="worker_batch:1:raise", strict=True, **POOL)
-        # The failed level released its pool (no leaked workers).
-        assert captured and captured[0]._pool is None
+#: The level kernels of the production flow, as ``(owner, attribute)``.
+KERNELS = {
+    "batch_commit": (BatchCommitScheduler, "run"),
+    "shared_windows": (grid_cache, "route_level"),
+    "batch_expansion": (grid_cache, "expand_level"),
+    "route_finish": (grid_cache, "_finish_level"),
+}
 
 
 class TestKernelDegradation:
-    def _clean_and_faulted(self, fault_plan, **overrides):
+    """No kernel degrades any more: every run is strict, so a kernel
+    failure surfaces instead of replaying the level on a fallback."""
+
+    def test_strict_mode_reraises_kernel_fault(self, monkeypatch):
         sinks = blocked_sinks(18, seed=22)
-        clean_sig, __, __ = synth(sinks, blockages=BLOCKAGES)
-        reset_plans()
-        sig, result, __ = synth(
-            sinks, blockages=BLOCKAGES, fault_plan=fault_plan, **overrides
+        owner, name = KERNELS["route_finish"]
+        calls = fail_on_call(
+            monkeypatch, owner, name, 0, RuntimeError("route finish bug")
         )
-        assert sig == clean_sig
-        return result
-
-    def test_batch_commit_degrades_scalar(self, monkeypatch):
-        import repro.core.batch_commit as bc
-
-        # Small instances would answer every round scalar anyway; force
-        # the vectorized path so the guard actually runs.
-        monkeypatch.setattr(bc, "SCALAR_ROUND_ROWS", 1)
-        result = self._clean_and_faulted("batch_commit:1:raise")
-        assert [d.component for d in result.degradations] == ["batch_commit"]
-        assert result.degradations[0].level >= 1
-
-    def test_shared_windows_degrades_per_pair(self):
-        result = self._clean_and_faulted("shared_windows:1:raise")
-        assert [d.component for d in result.degradations] == ["shared_windows"]
-
-    def test_batch_expansion_degrades_per_pair(self):
-        result = self._clean_and_faulted("batch_expansion:0:raise")
-        assert [d.component for d in result.degradations] == [
-            "batch_expansion"
-        ]
-
-    def test_route_finish_degrades_per_pair(self):
-        result = self._clean_and_faulted("route_finish:0:raise")
-        assert [d.component for d in result.degradations] == [
-            "batch_route_finish"
-        ]
-
-    def test_strict_mode_reraises_kernel_fault(self):
-        sinks = blocked_sinks(18, seed=22)
-        with pytest.raises(FaultInjected):
-            synth(
-                sinks,
-                blockages=BLOCKAGES,
-                fault_plan="route_finish:0:raise",
-                strict=True,
-            )
+        with pytest.raises(RuntimeError, match="route finish bug"):
+            synth(sinks, blockages=BLOCKAGES)
+        assert len(calls) == 1  # nothing retried the level
 
 
 class TestMemoryErrorPropagation:
-    """Degradation guards must never swallow MemoryError.
+    """MemoryError from any level kernel surfaces from synthesis.
 
-    Every kernel guard catches broad ``Exception`` to replay through its
-    bit-identical fallback, but each one re-raises ``MemoryError`` first:
-    degrading on OOM would retry the same allocation on the slow path and
-    thrash.  The ``oom`` fault mode raises a real ``MemoryError`` at the
-    consult point; it must surface even in non-strict runs.
+    Each case is ``kernel:call`` — the kernel and the 0-based call
+    that runs out of memory. Retrying the same allocation elsewhere
+    would only thrash; the jobs watchdog owns OOM handling.
     """
 
     @pytest.mark.parametrize(
-        "fault_plan",
-        [
-            "batch_commit:1:oom",
-            "shared_windows:1:oom",
-            "batch_expansion:0:oom",
-            "route_finish:0:oom",
-        ],
+        "case",
+        ["batch_commit:1", "shared_windows:1", "batch_expansion:0", "route_finish:0"],
     )
-    def test_oom_surfaces_in_non_strict_runs(self, fault_plan, monkeypatch):
+    def test_oom_surfaces_in_non_strict_runs(self, case, monkeypatch):
         import repro.core.batch_commit as bc
 
-        # Force the vectorized commit path so its guard actually runs
-        # on this small instance (same trick as TestKernelDegradation).
+        kernel, index = case.split(":")
+        # Force the vectorized commit rounds on this small instance.
         monkeypatch.setattr(bc, "SCALAR_ROUND_ROWS", 1)
+        owner, name = KERNELS[kernel]
+        calls = fail_on_call(
+            monkeypatch, owner, name, int(index), MemoryError(kernel)
+        )
         sinks = blocked_sinks(18, seed=22)
-        with pytest.raises(MemoryError):
-            synth(sinks, blockages=BLOCKAGES, fault_plan=fault_plan)
+        with pytest.raises(MemoryError, match=kernel):
+            synth(sinks, blockages=BLOCKAGES)
+        assert len(calls) == int(index) + 1
 
 
 class TestCheckpointResume:
@@ -281,7 +203,7 @@ class TestCheckpointResume:
         written = sorted(os.listdir(ckpt_dir))
         assert written == ["level_0001.ckpt", "level_0002.ckpt"]
         reset_plans()
-        options = CTSOptions(resume_from=ckpt_dir, fault_plan="", strict=False)
+        options = CTSOptions(resume_from=ckpt_dir)
         cts = AggressiveBufferedCTS(options=options, blockages=BLOCKAGES)
         resumed = cts.synthesize(sinks)
         assert resumed.resumed_from == 2
@@ -290,7 +212,8 @@ class TestCheckpointResume:
         assert resumed.merge_stats == clean.merge_stats
 
     def test_resume_across_execution_modes(self, tmp_path):
-        """A checkpoint from a batched run resumes under scalar knobs."""
+        """A checkpoint from the production flow resumes in the per-pair
+        oracle (no SoA mirror, no swept levels) to the same tree."""
         sinks = self._sinks()
         clean_sig, __, __ = synth(sinks, blockages=BLOCKAGES)
         ckpt_dir = str(tmp_path / "ckpt")
@@ -303,12 +226,8 @@ class TestCheckpointResume:
                 fault_plan="checkpoint:0:halt",
             )
         reset_plans()
-        sig, resumed, __ = synth(
-            sinks,
-            blockages=BLOCKAGES,
-            resume_from=ckpt_dir,
-            batch_commit=False,
-            shared_windows=False,
+        __, resumed = run_synthesis(
+            sinks, blockages=BLOCKAGES, oracle=True, resume_from=ckpt_dir
         )
         assert resumed.resumed_from == 1
         assert tree_signature(resumed.tree, base) == clean_sig
@@ -439,11 +358,32 @@ class TestCheckpointResume:
             ):
                 synth(sinks, blockages=BLOCKAGES, resume_from=ckpt_dir)
 
-    def test_digests_are_mode_independent(self):
+    def test_resume_rejects_other_checkpoint_version(self, tmp_path, monkeypatch):
         sinks = self._sinks()
-        a = CTSOptions(workers=0, batch_commit=True, strict=False)
+        ckpt_dir = str(tmp_path / "ckpt")
+        monkeypatch.setattr(checkpoint, "CHECKPOINT_VERSION", 2)
+        with pytest.raises(SynthesisHalted):
+            synth(
+                sinks,
+                blockages=BLOCKAGES,
+                checkpoint_dir=ckpt_dir,
+                fault_plan="checkpoint:0:halt",
+            )
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="has version 2"):
+            synth(sinks, blockages=BLOCKAGES, resume_from=ckpt_dir)
+
+    def test_digests_are_mode_independent(self):
+        """Run plumbing (worker count, faults, checkpoint and heartbeat
+        paths, validation) never changes a digest; a result option does."""
+        sinks = self._sinks()
+        a = CTSOptions()
         b = CTSOptions(
-            workers=4, batch_commit=False, strict=True, pool_timeout=5.0
+            workers=1,
+            fault_plan="checkpoint:0:halt",
+            checkpoint_dir="ckpt",
+            heartbeat_file="hb",
+            validate_every_merge=True,
         )
         assert options_digest(a) == options_digest(b)
         assert options_digest(a) != options_digest(
@@ -461,7 +401,7 @@ class TestCheckpointResume:
                 checkpoint_dir=ckpt_dir,
                 fault_plan="checkpoint:1:halt",
             )
-        options = CTSOptions(fault_plan="", strict=False)
+        options = CTSOptions()
         cts = AggressiveBufferedCTS(options=options, blockages=BLOCKAGES)
         state = load_checkpoint(ckpt_dir, sinks, options, cts.buffers)
         assert state.levels_done == 2

@@ -1,4 +1,4 @@
-"""Structure-of-arrays tree mirror: round-trip, kernels, faults.
+"""Structure-of-arrays tree mirror: round-trip, kernels, end to end.
 
 The mirror (:mod:`repro.core.soa_tree`) echoes every node creation /
 attach / detach into flat numpy columns and answers the commit phase's
@@ -15,11 +15,7 @@ from repro.core.checkpoint import _iter_preorder
 from repro.core.cts import AggressiveBufferedCTS
 from repro.core.options import CTSOptions
 from repro.core.soa_tree import SoaTree
-from repro.evalx.faultinject import reset_plans
-from repro.evalx.perfstats import (
-    checkpoint_resume_equivalence,
-    soa_commit_equivalence,
-)
+from repro.evalx.perfstats import checkpoint_resume_equivalence, scaling_scenario
 from repro.geom.bbox import BBox
 from repro.geom.point import Point
 from repro.tech import cts_buffer_library
@@ -35,27 +31,21 @@ from repro.tree.nodes import (
     set_tree_recorder,
 )
 
-from tests.conftest import make_sink_pairs
+from tests.conftest import assert_matches_oracle, make_sink_pairs
 
 BLOCKAGES = [BBox(8000.0, 8000.0, 16000.0, 16000.0)]
 
 
-@pytest.fixture(autouse=True)
-def _fresh_fault_plans():
-    reset_plans()
-    yield
-    reset_plans()
+def synth(sinks, blockages=None, mirror=True, source=None):
+    """One synthesis run plus the rebased signature of its tree.
 
-
-def synth(sinks, blockages=None, **option_overrides):
-    """One synthesis run plus the rebased signature of its tree."""
-    option_overrides.setdefault("fault_plan", "")
-    option_overrides.setdefault("strict", False)
-    option_overrides.setdefault("workers", 0)
-    options = CTSOptions(**option_overrides)
-    cts = AggressiveBufferedCTS(options=options, blockages=blockages)
+    ``mirror=False`` runs the same flow (same level gates, same kernels)
+    on the object walks: ``_synthesize`` without the SoA mirror.
+    """
+    cts = AggressiveBufferedCTS(options=CTSOptions(), blockages=blockages)
     base = peek_node_id()
-    result = cts.synthesize(sinks)
+    run = cts.synthesize if mirror else cts._synthesize
+    result = run(sinks, source)
     return tree_signature(result.tree, base), result, cts
 
 
@@ -210,9 +200,9 @@ class TestKernelEquality:
     def test_prefill_fills_object_cache_superset(self):
         sinks = blocked_sinks(18, seed=22)
         base_soa = peek_node_id()
-        __, __r, cts_soa = synth(sinks, blockages=BLOCKAGES, soa_commit=True)
+        __, __r, cts_soa = synth(sinks, blockages=BLOCKAGES)
         base_obj = peek_node_id()
-        __, __r, cts_obj = synth(sinks, blockages=BLOCKAGES, soa_commit=False)
+        __, __r, cts_obj = synth(sinks, blockages=BLOCKAGES, mirror=False)
 
         def rebase(cache, base):
             return {(key[0] - base, *key[1:]): val for key, val in cache.items()}
@@ -275,7 +265,7 @@ class TestQuantumBoundary:
 
     def _buffer_nodes(self):
         sinks = blocked_sinks(14, seed=31)
-        __, result, cts = synth(sinks, blockages=BLOCKAGES, soa_commit=False)
+        __, result, cts = synth(sinks, blockages=BLOCKAGES, mirror=False)
         nodes = [
             n
             for n in result.tree.root.walk()
@@ -307,28 +297,28 @@ class TestQuantumBoundary:
 
 
 class TestEndToEnd:
-    """SoA on/off/pooled/resumed: identical trees, stats and queries."""
+    """Mirror on/off, per-pair oracle and resumed: identical trees."""
 
     def test_serial_identical(self):
-        eq = soa_commit_equivalence(n_sinks=80, with_blockages=True, seed=7)
-        assert eq["soa_tree"] == eq["object_tree"]
-        assert eq["soa_stats"] == eq["object_stats"]
-        assert eq["soa_levels"] == eq["object_levels"]
-        assert eq["soa_queries"] == eq["object_queries"]
+        """Same flow with and without the mirror: identical trees,
+        stats and commit queries."""
+        sinks, source, blockages = scaling_scenario(80, True, seed=7)
+        soa_sig, soa, __ = synth(sinks, blockages, source=source)
+        obj_sig, obj, __ = synth(sinks, blockages, mirror=False, source=source)
+        assert soa_sig == obj_sig
+        assert soa.merge_stats == obj.merge_stats
+        assert soa.levels == obj.levels
+        assert soa.commit_queries == obj.commit_queries
 
-    def test_pooled_identical(self):
-        # workers=2 renumbers node ids level by level; the mirror must
-        # follow the remap and still answer bit-identically.
-        eq = soa_commit_equivalence(
-            n_sinks=60, with_blockages=True, workers=2, seed=9
-        )
-        assert eq["soa_tree"] == eq["object_tree"]
-        assert eq["soa_stats"] == eq["object_stats"]
-        assert eq["soa_levels"] == eq["object_levels"]
+    def test_matches_per_pair_oracle(self):
+        sinks, source, blockages = scaling_scenario(80, True, seed=7)
+        soa, oracle = assert_matches_oracle(sinks, source, blockages=blockages)
+        for key in ("search_probes", "clamp_probes", "repair_probes", "reused_checks"):
+            assert soa.commit_queries[key] == oracle.commit_queries[key]
 
     def test_resumed_identical(self):
-        # Checkpoint frames are encoded from the columns (SoA default
-        # on); a halt + resume must land on the clean run's tree.
+        # Checkpoint frames are encoded from the columns; a halt +
+        # resume must land on the clean run's tree.
         eq = checkpoint_resume_equivalence(
             n_sinks=60, with_blockages=True, seed=11, halt_after=2
         )
@@ -339,32 +329,32 @@ class TestEndToEnd:
 
 
 class TestFaults:
-    """CON3xx rails: degrade once and fall back bit-identically;
-    MemoryError always surfaces."""
+    """MemoryError inside a mirror kernel always surfaces: the jobs
+    watchdog owns OOM handling."""
 
-    def test_raise_fault_degrades_once_bit_identical(self):
-        sinks = blocked_sinks(18, seed=22)
-        clean_sig, __, __ = synth(
-            sinks, blockages=BLOCKAGES, soa_commit=True
-        )
-        reset_plans()
-        sig, result, __ = synth(
-            sinks,
-            blockages=BLOCKAGES,
-            soa_commit=True,
-            fault_plan="soa_commit:0:raise",
-        )
-        assert sig == clean_sig
-        assert [d.component for d in result.degradations] == ["soa_commit"]
+    def test_oom_mode_propagates_memoryerror(self, monkeypatch):
+        calls = []
 
-    def test_oom_mode_propagates_memoryerror(self):
-        # MemoryError must never be swallowed into a degradation, even
-        # outside strict mode: the jobs watchdog owns OOM handling.
+        def out_of_memory(self, router, merges):
+            calls.append(len(merges))
+            raise MemoryError("mirror stage drivers")
+
+        monkeypatch.setattr(SoaTree, "stage_drivers", out_of_memory)
         sinks = blocked_sinks(18, seed=22)
-        with pytest.raises(MemoryError):
-            synth(
-                sinks,
-                blockages=BLOCKAGES,
-                soa_commit=True,
-                fault_plan="soa_commit:0:oom",
-            )
+        with pytest.raises(MemoryError, match="mirror stage drivers"):
+            synth(sinks, blockages=BLOCKAGES)
+        assert len(calls) == 1  # nothing retried the kernel
+
+
+class TestHookErrors:
+    """A mirror that cannot vouch for a node is a bug and raises."""
+
+    def test_attach_of_unmirrored_node_raises(self, recorded):
+        previous = set_tree_recorder(None)
+        try:
+            stranger = make_sink(Point(0.0, 0.0), 5e-15)
+        finally:
+            set_tree_recorder(previous)
+        merge = make_merge(Point(10.0, 0.0))
+        with pytest.raises(RuntimeError, match="never saw"):
+            merge.attach(stranger)
