@@ -1,21 +1,25 @@
 """Simulated clock tree metrics (worst slew / skew / latency).
 
-The tree is simulated stage by stage in topological order: each stage's
-driver input waveform is the waveform computed at that node by the
-upstream stage (trimmed to its transition window), so the composition is
-electrically exact while every linear solve stays tiny. Slew is monitored
-at *every* node of every stage — including internal wire nodes — matching
-the paper's "maximum slew among all nodes in the clock tree reported by
-SPICE".
+The tree is split into buffer stages, and each stage is driven by the
+waveform its upstream stage computes at the buffer's input (trimmed to its
+transition window), so the composition is electrically exact while every
+linear solve stays tiny. All stages run as lanes of one lockstep transient
+loop (:mod:`repro.spice.lockstep`); a child stage starts as soon as its
+input's transition does. Slew is monitored at *every* node of every stage
+— including internal wire nodes — matching the paper's "maximum slew among
+all nodes in the clock tree reported by SPICE".
 """
 
 from __future__ import annotations
 
 import time
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.spice.stages import simulate_stage
+from repro.spice.lockstep import StageJob, StageOutcome, simulate_stages
+from repro.spice.stages import simulate_stage  # noqa: F401  (re-exported for tracing)
+from repro.spice.transient import TransientOptions
 from repro.tech.technology import Technology
 from repro.timing.analysis import LibraryTimingEngine
 from repro.timing.waveform import Waveform, ramp_waveform
@@ -63,6 +67,81 @@ def _as_root(tree: ClockTree | TreeNode) -> TreeNode:
     return tree.root if isinstance(tree, ClockTree) else tree
 
 
+def stage_jobs(
+    root: TreeNode,
+    tech_for: Callable[[TreeNode], Technology],
+    source: Waveform,
+) -> tuple[list[StageJob], list[dict[int, TreeNode]]]:
+    """The tree's stages as engine jobs, in stack-walk order.
+
+    The walk pops a stage, then pushes the buffers it drives in spec node
+    order; jobs are listed in pop order, so each parent precedes its
+    children. ``tech_for`` is called once per stage, in that order (Monte
+    Carlo draws its per-stage samples there). Also returns each stage's
+    map from spec node ids to tree nodes.
+    """
+    jobs: list[StageJob] = []
+    maps: list[dict[int, TreeNode]] = []
+    stack: list[tuple[TreeNode, int | None, int]] = [(root, None, 0)]
+    while stack:
+        stage_root, parent, tap = stack.pop()
+        stage_tech = tech_for(stage_root)
+        spec, id_map = stage_spec_for(stage_root, stage_tech)
+        if not spec.wires and not spec.load_caps and stage_root.kind is NodeKind.SOURCE:
+            raise ValueError("source drives nothing")
+        index = len(jobs)
+        jobs.append(
+            StageJob(
+                stage_tech,
+                spec,
+                source=source if parent is None else None,
+                parent=parent,
+                tap=tap,
+                label=stage_root.name,
+            )
+        )
+        maps.append(id_map)
+        for node_id, tree_node in id_map.items():
+            if tree_node is not stage_root and tree_node.kind is NodeKind.BUFFER:
+                stack.append((tree_node, index, node_id))
+    return jobs, maps
+
+
+def sink_arrivals(
+    outcomes: list[StageOutcome],
+    maps: list[dict[int, TreeNode]],
+    threshold: float,
+    t_ref: float,
+    stacklevel: int = 2,
+) -> tuple[dict[str, float], list[str]]:
+    """Sink arrivals (s, after ``t_ref``) and saturated sinks, in walk order.
+
+    A badly slewed stage (unbuffered baselines at harsh scales) can
+    saturate below the logic threshold; the sink is electrically unusable
+    but the rest of the tree is still measurable. Such sinks are skipped
+    with a ``RuntimeWarning`` instead of aborting the evaluation.
+    """
+    arrivals: dict[str, float] = {}
+    skipped: list[str] = []
+    for outcome, id_map in zip(outcomes, maps):
+        for node_id, tree_node in id_map.items():
+            if tree_node.kind is not NodeKind.SINK:
+                continue
+            try:
+                arrivals[tree_node.name] = outcome.cross_time(node_id) - t_ref
+            except ValueError:
+                skipped.append(tree_node.name)
+                warnings.warn(
+                    f"sink {tree_node.name}: simulated waveform "
+                    f"saturates at {outcome.v_final[node_id]:.3f} V, below the "
+                    f"{threshold:.3f} V logic threshold; excluded "
+                    "from skew/latency",
+                    RuntimeWarning,
+                    stacklevel=stacklevel + 1,
+                )
+    return arrivals, skipped
+
+
 def evaluate_tree(
     tree: ClockTree | TreeNode,
     tech: Technology,
@@ -79,61 +158,10 @@ def evaluate_tree(
     threshold = tech.logic_threshold_voltage()
     t_ref = source_wave.cross_time(threshold)
 
-    worst_slew = 0.0
-    arrivals: dict[str, float] = {}
-    skipped: list[str] = []
-    queue: list[tuple[TreeNode, Waveform]] = [(root, source_wave)]
-    while queue:
-        stage_root, wave_in = queue.pop()
-        spec, id_map = stage_spec_for(stage_root, tech)
-        if not spec.wires and not spec.load_caps and stage_root.kind is NodeKind.SOURCE:
-            raise ValueError("source drives nothing")
-        # Badly slewed trees (e.g. unbuffered baselines) can need far more
-        # settling time than a healthy stage; widen the window until every
-        # load actually reaches the rail.
-        allowance = 1.5e-9
-        for _ in range(3):
-            sim = simulate_stage(
-                tech,
-                spec,
-                wave_in,
-                dt=dt,
-                segment_length=segment_length,
-                settle_allowance=allowance,
-            )
-            finals = [
-                sim.waveform(node_id).v_final
-                for node_id, tree_node in id_map.items()
-                if tree_node is not stage_root
-            ]
-            if not finals or min(finals) > 0.95 * tech.vdd:
-                break
-            allowance *= 4.0
-        worst_slew = max(worst_slew, sim.worst_slew())
-        for node_id, tree_node in id_map.items():
-            if tree_node is stage_root:
-                continue
-            if tree_node.kind is NodeKind.SINK:
-                wave = sim.waveform(node_id)
-                try:
-                    arrivals[tree_node.name] = wave.cross_time(threshold) - t_ref
-                except ValueError:
-                    # A badly slewed stage (unbuffered baselines at harsh
-                    # scales) can saturate below the logic threshold; the
-                    # sink is electrically unusable but the rest of the
-                    # tree is still measurable. Skip-and-report instead
-                    # of aborting the whole evaluation.
-                    skipped.append(tree_node.name)
-                    warnings.warn(
-                        f"sink {tree_node.name}: simulated waveform "
-                        f"saturates at {wave.v_final:.3f} V, below the "
-                        f"{threshold:.3f} V logic threshold; excluded "
-                        "from skew/latency",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-            elif tree_node.kind is NodeKind.BUFFER:
-                queue.append((tree_node, sim.trimmed_waveform(node_id)))
+    jobs, maps = stage_jobs(root, lambda _: tech, source_wave)
+    outcomes = simulate_stages(jobs, TransientOptions(dt=dt), segment_length)
+    arrivals, skipped = sink_arrivals(outcomes, maps, threshold, t_ref, stacklevel=2)
+    worst_slew = max((o.worst_slew for o in outcomes), default=0.0)
 
     sinks = root.sinks()
     if set(arrivals) | set(skipped) != {s.name for s in sinks}:

@@ -11,7 +11,11 @@ under process variation, using the mini-SPICE substrate:
   and deeper/more-buffered paths accumulate more of it.
 
 Each Monte Carlo sample perturbs the technology/buffer parameters with
-seeded Gaussians and re-simulates the tree stage by stage.
+seeded Gaussians, stage by stage. The nominal tree and every sample are
+simulated together, as lanes of one lockstep transient run
+(:mod:`repro.spice.lockstep`), and measured like
+:func:`repro.evalx.metrics.evaluate_tree`: a sink that saturates below the
+logic threshold is skipped with a warning.
 """
 
 from __future__ import annotations
@@ -20,13 +24,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.evalx.metrics import DEFAULT_SOURCE_SLEW
-from repro.spice.stages import simulate_stage
+from repro.evalx.metrics import DEFAULT_SOURCE_SLEW, sink_arrivals, stage_jobs
+from repro.spice.lockstep import StageJob, simulate_stages
+from repro.spice.transient import TransientOptions
 from repro.tech.technology import Technology
-from repro.timing.waveform import Waveform, ramp_waveform
+from repro.timing.waveform import ramp_waveform
 from repro.tree.clocktree import ClockTree
-from repro.tree.nodes import NodeKind, TreeNode
-from repro.tree.stages_map import stage_spec_for
+from repro.tree.nodes import TreeNode
 
 
 @dataclass
@@ -91,42 +95,25 @@ def _perturbed_tech(
     )
 
 
-def _simulate_sample(
-    root: TreeNode,
+def _stage_sampler(
     tech: Technology,
     model: VariationModel,
     rng: np.random.Generator,
-    dt: float,
     global_scale: float,
-) -> tuple[float, float]:
-    """One Monte Carlo sample: (skew, latency)."""
-    source_wave = ramp_waveform(tech.vdd, DEFAULT_SOURCE_SLEW, t_start=50e-12)
-    threshold = tech.logic_threshold_voltage()
-    t_ref = source_wave.cross_time(threshold)
-    arrivals: dict[str, float] = {}
-    queue: list[tuple[TreeNode, Waveform]] = [(root, source_wave)]
-    while queue:
-        stage_root, wave_in = queue.pop()
-        sample = _perturbed_tech(tech, rng, model)
+):
+    """Per-stage technology draws for one sample, in stage-walk order."""
+
+    def sample(_stage_root: TreeNode) -> Technology:
+        stage_tech = _perturbed_tech(tech, rng, model)
         if global_scale != 1.0:
-            sample = replace(
-                sample,
-                nmos_k=sample.nmos_k * global_scale,
-                pmos_k=sample.pmos_k * global_scale,
+            stage_tech = replace(
+                stage_tech,
+                nmos_k=stage_tech.nmos_k * global_scale,
+                pmos_k=stage_tech.pmos_k * global_scale,
             )
-        spec, id_map = stage_spec_for(stage_root, sample)
-        sim = simulate_stage(sample, spec, wave_in, dt=dt)
-        for node_id, tree_node in id_map.items():
-            if tree_node is stage_root:
-                continue
-            if tree_node.kind is NodeKind.SINK:
-                arrivals[tree_node.name] = (
-                    sim.waveform(node_id).cross_time(threshold) - t_ref
-                )
-            elif tree_node.kind is NodeKind.BUFFER:
-                queue.append((tree_node, sim.trimmed_waveform(node_id)))
-    values = list(arrivals.values())
-    return (max(values) - min(values), max(values))
+        return stage_tech
+
+    return sample
 
 
 def monte_carlo_skew(
@@ -140,17 +127,40 @@ def monte_carlo_skew(
     model = model or VariationModel()
     root = tree.root if isinstance(tree, ClockTree) else tree
     rng = np.random.default_rng(model.seed)
-    nominal_skew, nominal_latency = _simulate_sample(
-        root, tech, VariationModel(0.0, 0.0, 0.0, 0.0, model.seed), rng, dt, 1.0
-    )
-    skews, latencies = [], []
+    source = ramp_waveform(tech.vdd, DEFAULT_SOURCE_SLEW, t_start=50e-12)
+    threshold = tech.logic_threshold_voltage()
+    t_ref = source.cross_time(threshold)
+    # The nominal tree draws (zero-sigma) samples too, keeping the stream.
+    nominal = VariationModel(0.0, 0.0, 0.0, 0.0, model.seed)
+    walks = [stage_jobs(root, _stage_sampler(tech, nominal, rng, 1.0), source)]
     for _ in range(n_samples):
         global_scale = (
             rng.lognormal(0.0, model.global_sigma) if model.global_sigma else 1.0
         )
-        skew, latency = _simulate_sample(root, tech, model, rng, dt, global_scale)
-        skews.append(skew)
-        latencies.append(latency)
+        walks.append(stage_jobs(root, _stage_sampler(tech, model, rng, global_scale), source))
+    jobs: list[StageJob] = []
+    for walk, _ in walks:
+        offset = len(jobs)
+        jobs.extend(
+            job if job.parent is None else replace(job, parent=job.parent + offset)
+            for job in walk
+        )
+    outcomes = simulate_stages(jobs, TransientOptions(dt=dt))
+    skews, latencies = [], []
+    offset = 0
+    for walk, maps in walks:
+        arrivals, _ = sink_arrivals(
+            outcomes[offset : offset + len(walk)], maps, threshold, t_ref, stacklevel=2
+        )
+        offset += len(walk)
+        if not arrivals:
+            raise RuntimeError(
+                "no sink waveform crossed the logic threshold in a Monte Carlo"
+                " sample; the tree is electrically dead"
+            )
+        values = list(arrivals.values())
+        skews.append(max(values) - min(values))
+        latencies.append(max(values))
     return VariationResult(
-        nominal_skew, nominal_latency, np.array(skews), np.array(latencies)
+        skews[0], latencies[0], np.array(skews[1:]), np.array(latencies[1:])
     )

@@ -10,12 +10,18 @@ It simulates exactly the circuit class clock tree synthesis needs:
 - grounded capacitive loads (gate caps, sink caps);
 - piecewise-linear voltage sources.
 
-Integration is backward Euler with Newton iteration on a dense MNA system;
-stage circuits are small (tens of nodes), so dense linear algebra is both
-simple and fast. Whole clock trees are simulated exactly by stage
-decomposition (:mod:`repro.spice.stages`): CMOS gates are unidirectional,
-so the tree splits at buffer inputs into independently solvable stages
-whose interface waveforms are propagated in topological order.
+Integration is backward Euler with Newton iteration. Whole clock trees
+are simulated exactly by stage decomposition (:mod:`repro.spice.stages`):
+CMOS gates are unidirectional, so the tree splits at buffer inputs into
+stages whose interface waveforms are propagated downstream.
+
+Two solvers share the circuit model. :func:`simulate` runs one circuit
+with a dense Newton solve per timestep; characterization uses it, and it
+is the reference the tests hold the other to. :func:`simulate_stages`
+(:mod:`repro.spice.lockstep`) runs every stage of a tree, or of many
+trees, as lanes of one batched, time-pipelined loop; tree verification
+and Monte Carlo use it, because a tree of hundreds of small stages is
+all per-call overhead one stage at a time.
 """
 
 from repro.spice.mosfet import MosfetParams, mosfet_current, nmos_params, pmos_params
@@ -29,6 +35,7 @@ from repro.spice.stages import (
     StageSimResult,
 )
 from repro.spice.netlist import write_netlist, parse_netlist
+from repro.spice.lockstep import StageJob, StageOutcome, simulate_stages
 
 __all__ = [
     "MosfetParams",
@@ -44,6 +51,9 @@ __all__ = [
     "build_stage_circuit",
     "simulate_stage",
     "StageSimResult",
+    "StageJob",
+    "StageOutcome",
+    "simulate_stages",
     "write_netlist",
     "parse_netlist",
 ]

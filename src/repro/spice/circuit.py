@@ -18,6 +18,9 @@ DEFAULT_SEGMENT_LENGTH = 400.0
 #: Hard cap on segments per wire so huge wires stay simulable.
 MAX_SEGMENTS_PER_WIRE = 64
 
+#: Resistance (Ohm) of the short that joins the ends of a zero-length wire.
+SHORT_RESISTANCE = 1e-3
+
 
 @dataclass
 class Resistor:
@@ -134,13 +137,16 @@ class Circuit:
 
         Returns the list of internal node names (useful as slew probes).
         Zero-length wires short the nodes with a tiny resistor so the
-        matrix stays well formed.
+        matrix stays well formed. So do wires whose resistance is below
+        that short's (float residue such as 1e-9 units): a smaller
+        resistor only ill-conditions the nodal matrix and turns the
+        solution into rounding noise.
         """
         if length < 0:
             raise ValueError(f"wire length must be non-negative, got {length}")
         wire = self.tech.wire
-        if length == 0:
-            self.add_resistor(n1, n2, 1e-3)
+        if wire.total_r(length) < SHORT_RESISTANCE:
+            self.add_resistor(n1, n2, SHORT_RESISTANCE)
             return []
         n_seg = max(1, min(MAX_SEGMENTS_PER_WIRE, round(length / segment_length)))
         seg_r = wire.total_r(length) / n_seg

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.spice.circuit import Circuit, DEFAULT_SEGMENT_LENGTH
+from repro.spice.circuit import Circuit, DEFAULT_SEGMENT_LENGTH, SHORT_RESISTANCE
 from repro.spice.transient import TransientOptions, TransientResult, simulate
 from repro.tech.buffers import BufferType
 from repro.tech.technology import Technology
@@ -90,7 +90,7 @@ def _stage_node_name(node_id: int) -> str:
 def build_stage_circuit(
     tech: Technology,
     spec: StageSpec,
-    input_wave: Waveform,
+    input_wave: Waveform | float,
     segment_length: float = DEFAULT_SEGMENT_LENGTH,
     title: str = "stage",
 ) -> tuple[Circuit, dict[int, str], list[str]]:
@@ -107,7 +107,7 @@ def build_stage_circuit(
     if spec.drive is not None:
         circuit.add_buffer(INPUT_NODE, root_name, spec.drive)
     else:
-        circuit.add_resistor(INPUT_NODE, root_name, 1e-3)
+        circuit.add_resistor(INPUT_NODE, root_name, SHORT_RESISTANCE)
     names = {STAGE_ROOT: root_name}
     internal: list[str] = []
     for w in spec.wires:

@@ -2,9 +2,12 @@
 
 The solver targets the circuit class produced by :mod:`repro.spice.circuit`:
 small (tens to a few hundred nodes), tree-structured RC networks with a
-handful of MOSFETs. Dense linear algebra is therefore the right tool — the
-per-step Jacobian solve is microseconds — and the implementation stays
-simple enough to audit.
+handful of MOSFETs, one circuit per call with a dense Jacobian solve per
+Newton iteration. That keeps it simple enough to audit, and it is the
+reference for :mod:`repro.spice.lockstep`, which runs the stages of whole
+trees together: one stage per call pays Python and LAPACK call overhead
+on every microsecond-sized solve, so per-stage calls are the wrong tool
+for a tree of hundreds of stages.
 
 Numerical scheme:
 
@@ -18,7 +21,7 @@ Numerical scheme:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -238,22 +241,38 @@ def _newton_solve(
     )
 
 
+def dc_solve(
+    circuit: Circuit,
+    sys: _System,
+    vk: np.ndarray,
+    opts: TransientOptions,
+    mos_terms: list[tuple[int, int, int]],
+) -> np.ndarray:
+    """DC operating point with the known nodes held at ``vk``.
+
+    Newton from the logic-level guess keeps the caller's tolerances and
+    gets at least 100 iterations; when it fails, pseudo-transient
+    continuation (big capacitive steps) relaxes toward the DC point.
+    Returns the full node-voltage vector.
+    """
+    n_u = len(sys.unknown)
+    a_dc = sys.g_uu + DC_GLEAK * np.eye(n_u)
+    rhs_dc = -sys.g_uk @ vk
+    v_full = _logic_guess(circuit, sys, vk)
+    dc_opts = replace(opts, max_newton=max(opts.max_newton, 100))
+    try:
+        return _newton_solve(sys, a_dc, rhs_dc, v_full, dc_opts, mos_terms)
+    except ConvergenceError:
+        return _pseudo_transient_dc(sys, a_dc, rhs_dc, v_full, opts, mos_terms)
+
+
 def dc_operating_point(circuit: Circuit, at_time: float = 0.0) -> dict[str, float]:
     """DC solution with sources held at their ``at_time`` values."""
     sys = _compile(circuit)
-    opts = TransientOptions()
     times = np.array([at_time, at_time + 1.0])
     vk = _known_voltages(circuit, sys, times)[:, 0]
-    n_u = len(sys.unknown)
-    a0 = sys.g_uu + DC_GLEAK * np.eye(n_u)
-    rhs = -sys.g_uk @ vk
-    v_full = _logic_guess(circuit, sys, vk)
     mos_terms = [_mosfet_terminals(sys, m) for m in circuit.mosfets]
-    try:
-        v_full = _newton_solve(sys, a0, rhs, v_full, opts, mos_terms)
-    except ConvergenceError:
-        # Fall back to pseudo-transient continuation: big capacitive steps.
-        v_full = _pseudo_transient_dc(sys, a0, rhs, v_full, opts, mos_terms)
+    v_full = dc_solve(circuit, sys, vk, TransientOptions(), mos_terms)
     return {name: float(v_full[sys.index[name]]) for name in sys.names}
 
 
@@ -366,17 +385,9 @@ def simulate(
     vk_all = _known_voltages(circuit, sys, times)
     u_idx = np.array(sys.unknown, dtype=int)
     k_idx = np.array(sys.known, dtype=int)
-    n_u = len(sys.unknown)
     mos_terms = [_mosfet_terminals(sys, m) for m in circuit.mosfets]
 
-    # DC operating point at t = 0.
-    a_dc = sys.g_uu + DC_GLEAK * np.eye(n_u)
-    rhs_dc = -sys.g_uk @ vk_all[:, 0]
-    v_full = _logic_guess(circuit, sys, vk_all[:, 0])
-    try:
-        v_full = _newton_solve(sys, a_dc, rhs_dc, v_full, TransientOptions(max_newton=100), mos_terms)
-    except ConvergenceError:
-        v_full = _pseudo_transient_dc(sys, a_dc, rhs_dc, v_full, opts, mos_terms)
+    v_full = dc_solve(circuit, sys, vk_all[:, 0], opts, mos_terms)
 
     c_over_h = sys.c_diag / opts.dt
     a0 = sys.g_uu + np.diag(c_over_h)

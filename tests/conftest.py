@@ -134,6 +134,67 @@ def assert_matches_oracle(sinks, source=None, *, sweep_all=False, **kwargs):
 
 
 # ----------------------------------------------------------------------
+# The scalar verification oracle
+# ----------------------------------------------------------------------
+
+
+def scalar_tree_walk(tree, tech, source_slew=60.0e-12, dt=1.0e-12, segment_length=400.0):
+    """Verify a tree one stage at a time with scalar ``simulate_stage``.
+
+    The stack walk production ``evaluate_tree`` replaced with the lockstep
+    engine: pop a stage, simulate it (widening the settle window up to
+    twice while a load stays below 95% Vdd), measure it, push the buffers
+    it drives with their trimmed input waveforms. Returns ``(worst_slew,
+    sink_arrivals, skipped_sinks)`` in walk order.
+    """
+    from repro.spice.stages import simulate_stage
+    from repro.timing.waveform import ramp_waveform
+    from repro.tree.clocktree import ClockTree
+    from repro.tree.nodes import NodeKind
+    from repro.tree.stages_map import stage_spec_for
+
+    root = tree.root if isinstance(tree, ClockTree) else tree
+    source_wave = ramp_waveform(tech.vdd, source_slew, t_start=50.0e-12)
+    threshold = tech.logic_threshold_voltage()
+    t_ref = source_wave.cross_time(threshold)
+    worst_slew = 0.0
+    arrivals: dict[str, float] = {}
+    skipped: list[str] = []
+    queue = [(root, source_wave)]
+    while queue:
+        stage_root, wave_in = queue.pop()
+        spec, id_map = stage_spec_for(stage_root, tech)
+        allowance = 1.5e-9
+        for _ in range(3):
+            sim = simulate_stage(
+                tech, spec, wave_in, dt=dt, segment_length=segment_length,
+                settle_allowance=allowance,
+            )
+            finals = [
+                sim.waveform(node_id).v_final
+                for node_id, tree_node in id_map.items()
+                if tree_node is not stage_root
+            ]
+            if not finals or min(finals) > 0.95 * tech.vdd:
+                break
+            allowance *= 4.0
+        worst_slew = max(worst_slew, sim.worst_slew())
+        for node_id, tree_node in id_map.items():
+            if tree_node is stage_root:
+                continue
+            if tree_node.kind is NodeKind.SINK:
+                try:
+                    arrivals[tree_node.name] = (
+                        sim.waveform(node_id).cross_time(threshold) - t_ref
+                    )
+                except ValueError:
+                    skipped.append(tree_node.name)
+            elif tree_node.kind is NodeKind.BUFFER:
+                queue.append((tree_node, sim.trimmed_waveform(node_id)))
+    return worst_slew, arrivals, skipped
+
+
+# ----------------------------------------------------------------------
 # Property-test generators (hypothesis-style: seeded random case streams
 # with the adversarial structure — ties, degenerate windows — built in).
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.spice.circuit import Circuit, GROUND, VDD
+from repro.spice.circuit import SHORT_RESISTANCE, Circuit, GROUND, VDD
 from repro.spice.netlist import parse_netlist, write_netlist
 from repro.spice.transient import TransientOptions, simulate
 from repro.tech import cts_buffer_library, default_technology
@@ -30,6 +30,23 @@ class TestCircuitAssembly:
         internal = circuit.add_wire("a", "b", 0.0)
         assert internal == []
         assert circuit.resistors[0].r <= 1e-3
+
+    def test_float_residue_wire_builds_as_short(self, tech):
+        """A wire below the short's resistance is the short, with no caps."""
+        circuit = Circuit(tech)
+        assert tech.wire.total_r(1e-9) < SHORT_RESISTANCE
+        internal = circuit.add_wire("a", "b", 1e-9)
+        assert internal == []
+        assert [(r.n1, r.n2, r.r) for r in circuit.resistors] == [("a", "b", SHORT_RESISTANCE)]
+        assert circuit.caps == []
+
+    def test_milliohm_wire_still_builds_rc(self, tech):
+        circuit = Circuit(tech)
+        assert tech.wire.total_r(0.1) > SHORT_RESISTANCE
+        circuit.add_wire("a", "b", 0.1)
+        assert sum(r.r for r in circuit.resistors) == pytest.approx(tech.wire.total_r(0.1))
+        assert sum(c.c for c in circuit.caps) == pytest.approx(tech.wire.total_c(0.1))
+        assert sum(c.c for c in circuit.caps) > 0
 
     def test_wire_segment_cap_distribution(self, tech):
         """pi model: end nodes get half a segment's cap."""

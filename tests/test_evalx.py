@@ -64,15 +64,19 @@ class TestSaturatingWaveformGuard:
                 return Waveform(times, [0.0, 0.3 * vdd, 0.3 * vdd])
             return Waveform(times, [0.0, vdd, vdd])
 
-        class FakeSim:
-            def waveform(self, node_id):
-                return wave_for(node_id)
+        class FakeOutcome:
+            """The engine's per-stage result seam (``StageOutcome``)."""
 
-            def worst_slew(self):
-                return 40e-12
+            worst_slew = 40e-12
+            v_final = {node_id: wave_for(node_id).v_final for node_id in id_map}
+
+            def cross_time(self, node_id):
+                return wave_for(node_id).cross_time(tech.logic_threshold_voltage())
 
         monkeypatch.setattr(
-            metrics_mod, "simulate_stage", lambda *a, **k: FakeSim()
+            metrics_mod,
+            "simulate_stages",
+            lambda jobs, *a, **k: [FakeOutcome() for _ in jobs],
         )
 
     def test_saturating_sink_skipped_and_reported(

@@ -158,3 +158,36 @@ class TestSolverControls:
         circuit.add_cap("out", 10e-15)
         result = simulate(circuit, TransientOptions(dt=1e-12, t_stop=0.1e-9))
         assert np.all(result.waveform("0").values == 0)
+
+
+class TestDcOperatingPointOptions:
+    """The DC solve keeps the caller's Newton tolerances."""
+
+    def _spy(self, monkeypatch):
+        import repro.spice.transient as transient_mod
+
+        calls = []
+        original = transient_mod._newton_solve
+
+        def spy(sys, a0, rhs, v_full, opts, *args, **kwargs):
+            calls.append(opts)
+            return original(sys, a0, rhs, v_full, opts, *args, **kwargs)
+
+        monkeypatch.setattr(transient_mod, "_newton_solve", spy)
+        return calls
+
+    def _buffer_circuit(self, tech):
+        circuit = Circuit(tech)
+        circuit.add_vsource("in", ramp_waveform(tech.vdd, 80e-12, t_start=50e-12))
+        circuit.add_buffer("in", "out", cts_buffer_library()["BUF20X"])
+        circuit.add_cap("out", 20e-15)
+        return circuit
+
+    def test_simulate_dc_gets_caller_vtol_and_damping(self, tech, monkeypatch):
+        calls = self._spy(monkeypatch)
+        opts = TransientOptions(dt=1e-12, vtol=1e-8, damping_v=0.2)
+        simulate(self._buffer_circuit(tech), opts)
+        dc = calls[0]
+        assert dc.vtol == 1e-8
+        assert dc.damping_v == 0.2
+        assert dc.max_newton >= 100
