@@ -20,10 +20,10 @@ Bit-identity with the scalar flow rests on three facts:
 - the timing engine's memoized bounds are exact functions of their cache
   key (bucket-representative evaluation + interpolation), so the
   interleaved cache fill order cannot change any value;
-- pairs advance in pair order and every node-creating advance records
-  the id span it consumed, so the level is renumbered into per-pair
-  creation order afterwards (:mod:`repro.core.parallel_merge`, with as
-  many spans per pair as the pair had node-creating steps).
+- each pair's state machine makes the same decisions, and so the same
+  surgery, whatever the other pairs do; only the creation order of
+  nodes across pairs differs, and nothing reads it (node ids are plain
+  keys, and names are assigned from the final tree's structure).
 
 ``PairCommitState`` is the single implementation of the commit loop:
 the scalar flow (``MergeRouter.commit``) drives it probe by probe, the
@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.core.binary_search import MergeSearchState, evaluate_probe
 from repro.geom.segment import PathPolyline
-from repro.tree.nodes import TreeNode, make_merge, peek_node_id
+from repro.tree.nodes import TreeNode, make_merge
 
 #: Search/repair/re-balance rounds per merge (the seed's fixed loop sizes).
 MAX_COMMIT_ROUNDS = 5
@@ -132,12 +132,11 @@ class PairCommitState:
         self._n_snaked = plan.n_snaked
         self._snaked_delay = plan.snaked_delay
         self._finished = False
-        #: Set by the lockstep scheduler (never in scalar runs): park in
-        #: phase "stage" instead of forcing the stage buffer inline, so
-        #: a whole round's forced-stage decisions batch through the SoA
-        #: kernel. The pair's node-creating order is unchanged — the
-        #: stage buffer is always its last created node — so the
-        #: renumbering sees identical per-pair span sequences.
+        #: Set by the lockstep scheduler when the SoA mirror is
+        #: installed (never in scalar runs): park in phase "stage"
+        #: instead of forcing the stage buffer inline, so a whole
+        #: round's forced-stage decisions batch through the SoA kernel.
+        #: The stage buffer is the pair's last surgery either way.
         self.defer_stage = False
         self._pending_stage_merge: TreeNode | None = None
         if plan.coincident:
@@ -380,29 +379,19 @@ class BatchCommitScheduler:
     "diff" rows with one vectorized branch-component evaluation plus one
     grouped subtree-bounds lookup, all "slews" rows with one vectorized
     branch-slews evaluation, then advance the machines in pair order.
-    Node-creating advances record the id span they consumed into
-    ``spans`` (when given) so the caller can renumber the level into
-    per-pair creation order.
     """
 
     def __init__(self, router) -> None:
         self.router = router
 
-    def run(
-        self,
-        states: list[PairCommitState],
-        spans: list[list[tuple[int, int]]] | None = None,
-    ) -> None:
+    def run(self, states: list[PairCommitState]) -> None:
         router = self.router
         stats = router.commit_queries
         drive = router._virtual
         input_slew = router.options.target_slew
-        soa = getattr(router.engine, "_soa", None)
-        if soa is not None and spans is not None:
+        if getattr(router.engine, "_soa", None) is not None:
             # Stage-buffer forcing parks in phase "stage" and resolves
             # level-wide through the SoA kernel after each advance round.
-            # Only when spans are recorded: the deferral regroups actual
-            # creation order across pairs, which the renumbering undoes.
             for state in states:
                 state.defer_stage = True
         active = [i for i, state in enumerate(states) if not state.done]
@@ -432,28 +421,18 @@ class BatchCommitScheduler:
                 for i, slot, probe in diff_rows + slew_rows:
                     results[i][slot] = states[i]._evaluate_scalar(probe)
             for i, __ in gathered:
-                state = states[i]
-                if spans is None:
-                    state.advance(results[i])
-                else:
-                    start = peek_node_id()
-                    state.advance(results[i])
-                    end = peek_node_id()
-                    if end > start:
-                        spans[i].append((start, end))
+                states[i].advance(results[i])
             staged = [i for i, __ in gathered if states[i].phase == "stage"]
             if staged:
-                self._finish_stage_states(states, staged, spans)
+                self._finish_stage_states(states, staged)
             active = [i for i, __ in gathered if not states[i].done]
 
-    def _finish_stage_states(self, states, staged, spans) -> None:
+    def _finish_stage_states(self, states, staged) -> None:
         """Resolve a round's parked stage-buffer decisions level-wide.
 
         One batched :meth:`~repro.core.soa_tree.SoaTree.stage_drivers`
-        call decides every parked merge; application (node creation,
-        stats, span recording) stays in pair order, so the per-pair
-        creation sequence — and therefore the renumbering — is exactly
-        the inline flow's.
+        call decides every parked merge; application (node creation and
+        stats) stays in pair order, exactly as the inline flow does it.
         """
         router = self.router
         merges = [states[i]._pending_stage_merge for i in staged]
@@ -462,12 +441,7 @@ class BatchCommitScheduler:
             state = states[i]
             merge = state._pending_stage_merge
             state._pending_stage_merge = None
-            start = peek_node_id()
-            root = router._apply_stage_driver(merge, drivers[pos])
-            end = peek_node_id()
-            if spans is not None and end > start:
-                spans[i].append((start, end))
-            state.root = root
+            state.root = router._apply_stage_driver(merge, drivers[pos])
             state.phase = "done"
 
     # ------------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 After each topology level the flow can snapshot everything the next
 level depends on (``CTSOptions.checkpoint_dir``): the live subtree
-roots, the node-id counter, the accumulated diagnostics and the loop
-state. ``CTSOptions.resume_from`` rebuilds that state and re-enters the
-level loop mid-tree; because node ids/names, stats and the engine's
-memoized timing are all restored or recomputed deterministically, the
-resumed tree is bit-identical to an uninterrupted run
-(``tree_signature`` equality is asserted in the tests).
+roots, the accumulated diagnostics and the loop state.
+``CTSOptions.resume_from`` rebuilds that state and re-enters the level
+loop mid-tree; because stats and the engine's memoized timing are
+restored or recomputed deterministically, and final names come from
+the tree's structure rather than from node ids, the resumed tree is
+bit-identical to an uninterrupted run (``tree_signature`` equality is
+asserted in the tests).
 
 Format (version :data:`CHECKPOINT_VERSION`): one framed pickled dict
 per completed level, ``level_0007.ckpt``. The frame is an 8-byte magic,
@@ -35,10 +36,12 @@ instance. A mismatch of either fails loudly with what differed.
 Tree encoding walks each subtree in child-order-preserving preorder
 (``TreeNode.walk`` reverses children — wrong here, attach order must
 survive the round trip) and records ``(id, kind, name, x, y, wire,
-cap, buffer, parent_id)`` rows; decoding re-creates nodes with their
-explicit ids (the counter is untouched) and re-attaches them in row
-order, which preserves child order because a parent's k-th child always
-precedes its (k+1)-th in preorder.
+cap, buffer, parent_id)`` rows. The ids are frame-local keys: decoding
+creates nodes with fresh ids, maps the rows' parent ids through the
+frame, gives auto-named merges, buffers and steiners fresh auto names
+(every other name is kept), and re-attaches nodes in row order, which
+preserves child order because a parent's k-th child always precedes its
+(k+1)-th in preorder.
 """
 
 from __future__ import annotations
@@ -58,9 +61,9 @@ from repro.core.topology import SubTree
 from repro.geom.point import Point
 from repro.tech.buffers import BufferLibrary
 from repro.timing.analysis import SubtreeBounds
-from repro.tree.nodes import NodeKind, TreeNode
+from repro.tree.nodes import STRUCTURAL_KINDS, NodeKind, TreeNode, auto_name
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 #: Frame prefix of every checkpoint file: magic, then the SHA-256 of the
 #: pickled body. A file that lacks the magic or fails the digest is torn
@@ -153,7 +156,6 @@ class CheckpointState:
 
     levels_done: int
     n_flips: int
-    next_node_id: int
     center: tuple[float, float]
     subtrees: list[SubTree]
     merge_stats: MergeStats
@@ -164,15 +166,6 @@ class CheckpointState:
 # ----------------------------------------------------------------------
 # Tree encoding
 # ----------------------------------------------------------------------
-
-
-def _iter_preorder(root: TreeNode):
-    """Preorder walk preserving child order (unlike ``TreeNode.walk``)."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children))
 
 
 def _encode_subtree(subtree: SubTree, soa=None) -> dict:
@@ -193,7 +186,7 @@ def _encode_subtree(subtree: SubTree, soa=None) -> dict:
                 node.buffer.name if node.buffer is not None else None,
                 node.parent.id if node.parent is not None else None,
             )
-            for node in _iter_preorder(subtree.root)
+            for node in subtree.root.preorder()
         ]
     return {
         "root": subtree.root.id,
@@ -211,13 +204,15 @@ def _decode_subtree(data: dict, buffers: BufferLibrary) -> SubTree:
     by_id: dict[int, TreeNode] = {}
     for rec in data["nodes"]:
         node_id, kind, name, x, y, wire, cap, buffer_name, parent_id = rec
+        kind = NodeKind(kind)
+        if kind in STRUCTURAL_KINDS and name == auto_name(kind, node_id):
+            name = ""  # a placeholder: take a fresh one
         node = TreeNode(
-            kind=NodeKind(kind),
+            kind=kind,
             location=Point(x, y),
             name=name,
             cap=cap,
             buffer=buffers[buffer_name] if buffer_name is not None else None,
-            id=node_id,
         )
         by_id[node_id] = node
         if parent_id is not None:
@@ -251,7 +246,6 @@ def write_checkpoint(
     level: int,
     subtrees: list[SubTree],
     n_flips: int,
-    next_node_id: int,
     center: Point,
     options: CTSOptions,
     sinks: list[tuple[Point, float]],
@@ -267,7 +261,6 @@ def write_checkpoint(
         "sinks_digest": sinks_digest(sinks),
         "levels_done": level,
         "n_flips": n_flips,
-        "next_node_id": next_node_id,
         "center": (center.x, center.y),
         "subtrees": [_encode_subtree(s, soa) for s in subtrees],
         "merge_stats": _stats_dict(merge_stats),
@@ -410,7 +403,6 @@ def load_checkpoint(
     return CheckpointState(
         levels_done=payload["levels_done"],
         n_flips=payload["n_flips"],
-        next_node_id=payload["next_node_id"],
         center=payload["center"],
         subtrees=[
             _decode_subtree(data, buffers) for data in payload["subtrees"]

@@ -27,13 +27,7 @@ from repro.tech.presets import cts_buffer_library, default_technology
 from repro.tech.technology import Technology
 from repro.timing.analysis import LibraryTimingEngine
 from repro.tree.clocktree import ClockTree
-from repro.tree.nodes import (
-    TreeNode,
-    make_sink,
-    peek_node_id,
-    set_node_id,
-    set_tree_recorder,
-)
+from repro.tree.nodes import TreeNode, make_sink, set_tree_recorder
 from repro.tree.validate import validate_tree
 
 #: Smallest topology level, in pairs, whose commits advance in lockstep
@@ -219,7 +213,6 @@ class AggressiveBufferedCTS:
             level=n_levels,
             subtrees=level,
             n_flips=n_flips,
-            next_node_id=peek_node_id(),
             center=center,
             options=self.options,
             sinks=sinks,
@@ -263,17 +256,16 @@ class AggressiveBufferedCTS:
     ) -> tuple[list[SubTree], Point, int, int]:
         """Rebuild the level-loop state from ``options.resume_from``.
 
-        The node-id counter is restored so post-resume nodes get the ids
-        and auto-names the uninterrupted run would have assigned, and the
-        timing engine's memoized caches are dropped (memoization is
-        order-independent, so recomputed entries are bit-identical).
+        Decoded nodes take fresh ids (names are structural, so ids need
+        not match the uninterrupted run's), and the timing engine's
+        memoized caches are dropped (memoization is order-independent,
+        so recomputed entries are bit-identical).
         """
         from repro.core.checkpoint import load_checkpoint
 
         state = load_checkpoint(
             self.options.resume_from, sinks, self.options, self.buffers
         )
-        set_node_id(state.next_node_id)
         self.engine.clear_cache()
         self.router.stats = state.merge_stats
         self.router.commit_queries = state.commit_queries
@@ -304,28 +296,20 @@ class AggressiveBufferedCTS:
         phase, batched across the level by :meth:`MergeRouter.route_level`;
         (3) the stateful commit phase — every pair's commit state machine
         advanced in lockstep by the batched scheduler when
-        ``batch_commit``, pair by pair otherwise. Afterwards the level's
-        nodes are renumbered into per-pair creation order so the tree is
-        bit-identical to merging the level pair by pair.
+        ``batch_commit``, pair by pair otherwise. Nodes are created in a
+        different order than merging pair by pair would create them; the
+        trees are the same, and names are structural, so nothing depends
+        on that order.
         """
-        from repro.core.parallel_merge import (
-            renumber_subtrees,
-            serial_id_mapping,
-        )
-
-        base = peek_node_id()
         n_flips = 0
-        spans: list[list[tuple[int, int]]] = []
         prepared: list[tuple[str, object]] = []
         for a, b in pairs:
-            start = peek_node_id()
             if self._is_hstructure_pair(a, b):
                 merged, flips = self._merge_pair(a, b)
                 n_flips += flips
                 prepared.append(("done", merged))
             else:
                 prepared.append(("plan", (a, b, self.router.prepare(a.root, b.root))))
-            spans.append([(start, peek_node_id())])
 
         plans = [
             payload[2] if kind == "plan" else None
@@ -334,69 +318,43 @@ class AggressiveBufferedCTS:
         routes = self.router.route_level(plans)
 
         if batch_commit:
-            roots = self._commit_level_batched(prepared, routes, spans)
+            roots = self._commit_level_batched(prepared, routes)
         else:
-            roots = self._commit_level_scalar(prepared, routes, spans)
+            roots = self._commit_level_scalar(prepared, routes)
 
         merged_level: list[SubTree] = []
-        level_roots: list[TreeNode] = []
         for i, (kind, payload) in enumerate(prepared):
             if kind == "done":
-                subtrees = payload
+                merged_level.extend(payload)
             else:
                 a, b, __ = payload
-                subtrees = [self._subtree(roots[i], (a.root, b.root))]
-            merged_level.extend(subtrees)
-            level_roots.extend(s.root for s in subtrees)
-
-        renumber_subtrees(
-            level_roots, serial_id_mapping(base, spans), self.engine
-        )
+                merged_level.append(self._subtree(roots[i], (a.root, b.root)))
         return merged_level, n_flips
 
-    def _commit_level_scalar(
-        self, prepared, routes, spans
-    ) -> dict[int, TreeNode]:
+    def _commit_level_scalar(self, prepared, routes) -> dict[int, TreeNode]:
         """Commit a swept level pair by pair."""
-        roots: dict[int, TreeNode] = {}
-        for i, (kind, payload) in enumerate(prepared):
-            if kind != "plan":
-                continue
-            start = peek_node_id()
-            __, __, plan = payload
-            roots[i] = self.router.commit(plan, routes[i])
-            spans[i].append((start, peek_node_id()))
-        return roots
+        return {
+            i: self.router.commit(payload[2], routes[i])
+            for i, (kind, payload) in enumerate(prepared)
+            if kind == "plan"
+        }
 
-    def _commit_level_batched(
-        self, prepared, routes, spans
-    ) -> dict[int, TreeNode]:
+    def _commit_level_batched(self, prepared, routes) -> dict[int, TreeNode]:
         """Commit a swept level in lockstep through the batched scheduler.
 
         Chain materialization (``commit_prepare``) happens in pair order;
         the scheduler then advances all state machines together, one
-        vectorized library round per step, recording the id span every
-        node-creating advance consumed so the renumbering covers the
-        interleaved creation order.
+        vectorized library round per step.
         """
         from repro.core.batch_commit import BatchCommitScheduler
 
         t0 = time.perf_counter()
-        states: list = []
-        order: list[int] = []
-        for i, (kind, payload) in enumerate(prepared):
-            if kind != "plan":
-                continue
-            start = peek_node_id()
-            __, __, plan = payload
-            states.append(self.router.commit_prepare(plan, routes[i]))
-            end = peek_node_id()
-            if end > start:
-                spans[i].append((start, end))
-            order.append(i)
-        BatchCommitScheduler(self.router).run(
-            states, spans=[spans[i] for i in order]
-        )
+        order = [i for i, (kind, __) in enumerate(prepared) if kind == "plan"]
+        states = [
+            self.router.commit_prepare(prepared[i][1][2], routes[i])
+            for i in order
+        ]
+        BatchCommitScheduler(self.router).run(states)
         roots = {
             i: self.router.commit_finish(states[pos])
             for pos, i in enumerate(order)

@@ -61,7 +61,6 @@ _KINDS = (
 )
 _CODE_OF = {kind: code for code, kind in enumerate(_KINDS)}
 _KIND_VALUE = tuple(kind.value for kind in _KINDS)
-_KIND_CHAR = tuple(kind.value[0] for kind in _KINDS)
 _SOURCE, _SINK, _MERGE, _BUFFER, _STEINER = range(5)
 
 #: Flat-stage classification of the structure below a node.
@@ -71,9 +70,9 @@ _FS_SINGLE = 2  # one load path: stem length + one end
 _FS_BRANCH = 3  # two-branch split, both branches plain load paths
 _FS_DEEP = 4  # nested merges / >2-way splits — evaluate via objects
 
-#: Columns of the mirror: (attribute, dtype, fill value). Reference
-#: columns hold node *ids* (-1 = none) and are value-remapped on
-#: renumbering; the rest are plain per-row payload.
+#: Columns of the mirror: (attribute, dtype, fill value). Topology and
+#: flat-stage end columns hold node *ids* (-1 = none); the rest are
+#: plain per-row payload.
 _COLUMNS = (
     ("kind", np.int8, -1),
     ("parent", np.int64, -1),
@@ -98,17 +97,6 @@ _COLUMNS = (
     ("fs_lcap", np.float64, 0.0),
     ("fs_rcap", np.float64, 0.0),
     ("fs_lload", np.int32, -1),
-)
-
-#: Columns holding node ids that must follow a renumbering.
-_REF_COLUMNS = (
-    "parent",
-    "first_child",
-    "last_child",
-    "next_sib",
-    "prev_sib",
-    "fs_lend",
-    "fs_rend",
 )
 
 #: Below this many unresolved merges a stage-driver round answers with
@@ -178,34 +166,16 @@ class SoaTree:
         self.names.extend([None] * (new_cap - self._capacity))
         self._capacity = new_cap
 
-    def _grow_front(self, shortfall: int) -> None:
-        # Checkpoint decode creates nodes with explicit (low) ids, so the
-        # base adapts downward; front growth is a one-off per resume.
-        shift = max(shortfall, self._capacity)
-        shift = min(shift, self._base)
-        if shift < shortfall:
-            shift = shortfall  # cannot go below id 0 anyway
-        new_cap = self._capacity + shift
-        for name, dtype, fill in _COLUMNS:
-            col = np.empty(new_cap, dtype=dtype)
-            col.fill(fill)
-            col[shift:] = getattr(self, name)
-            setattr(self, name, col)
-        self.nodes = [None] * shift + self.nodes
-        self.names = [None] * shift + self.names
-        self._capacity = new_cap
-        self._base -= shift
-        self._used += shift
-
     def _ensure(self, node_id: int) -> int:
         if self._base is None:
             self._base = node_id
             self._alloc(1024)
         i = node_id - self._base
         if i < 0:
-            self._grow_front(-i)
-            i = node_id - self._base
-        elif i >= self._capacity:
+            # Ids come from one monotonic counter; only a node built
+            # with an explicit older id lands here.
+            raise RuntimeError(f"node id {node_id} predates the mirror")
+        if i >= self._capacity:
             self._grow_back(i + 1)
         if i >= self._used:
             self._used = i + 1
@@ -299,66 +269,6 @@ class SoaTree:
         self.next_sib[ci] = -1
         self.wire[ci] = 0.0
         self.n_children[pi] -= 1
-
-    # ------------------------------------------------------------------
-    # Renumbering
-    # ------------------------------------------------------------------
-
-    def remap_ids(self, mapping: dict[int, int]) -> None:
-        """Follow a per-pair-order renumbering (see ``parallel_merge``).
-
-        The mapping is an identity-dropped permutation over the level's
-        consumed id spans (keys set == values set), so scattering every
-        mapped row to its target covers exactly the moved positions.
-        Garbage (unreachable) nodes are scattered too — their objects
-        keep the old id, so any later lookup fails the identity check
-        and takes the object walk, which is correct because they are
-        never queried.
-        """
-        if not mapping or self._base is None:
-            return
-        base = self._base
-        used = self._used
-        n = len(mapping)
-        old = np.fromiter(mapping.keys(), dtype=np.int64, count=n)
-        new = np.fromiter(mapping.values(), dtype=np.int64, count=n)
-        if (
-            int(old.min()) < base
-            or int(old.max()) >= base + used
-            or int(new.min()) < base
-            or int(new.max()) >= base + used
-        ):
-            raise RuntimeError("renumbering outside the mirrored id range")
-        perm = np.arange(base, base + used, dtype=np.int64)
-        perm[old - base] = new
-        for name in _REF_COLUMNS:
-            col = getattr(self, name)
-            view = col[:used]
-            mask = view >= 0
-            view[mask] = perm[view[mask] - base]
-        oi = old - base
-        ni = new - base
-        old_rows = oi.tolist()
-        new_rows = ni.tolist()
-        moved_kind = self.kind[oi].tolist()
-        moved_names = [self.names[i] for i in old_rows]
-        moved_nodes = [self.nodes[i] for i in old_rows]
-        for name, __, __f in _COLUMNS:
-            col = getattr(self, name)
-            col[ni] = col[oi]
-        for k, row in enumerate(new_rows):
-            node_name = moved_names[k]
-            code = moved_kind[k]
-            old_id = old_rows[k] + base
-            if node_name == f"{_KIND_CHAR[code]}{old_id}":
-                node_name = f"{_KIND_CHAR[code]}{row + base}"
-            self.names[row] = node_name
-            self.nodes[row] = moved_nodes[k]
-        seq = self._bufseq
-        moved = [node_id for node_id in seq if node_id in mapping]
-        entries = [(node_id, seq.pop(node_id)) for node_id in moved]
-        for node_id, codes in entries:
-            seq[mapping[node_id]] = codes
 
     # ------------------------------------------------------------------
     # Flat stage tracing
@@ -1024,7 +934,7 @@ class SoaTree:
                 )
             )
             # Push children reversed so they pop first-child-first — the
-            # exact ``_iter_preorder`` order.
+            # exact ``TreeNode.preorder`` order.
             child = int(first_child[i])
             children = []
             while child >= 0:

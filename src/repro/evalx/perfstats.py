@@ -328,14 +328,12 @@ def checkpoint_resume_equivalence(
     A synthesis is killed (injected ``checkpoint:N:halt``) right after
     its ``halt_after``-th per-level snapshot landed, then resumed from
     the checkpoint directory; ``clean_tree == resumed_tree`` asserts the
-    restart is bit-identical, including node ids/names created before
-    the kill.
+    restart is bit-identical, names included.
     """
     import tempfile
 
     from repro.evalx.faultinject import SynthesisHalted, reset_plans
     from repro.tree.export import tree_signature
-    from repro.tree.nodes import peek_node_id
 
     sinks, source, blockages = scaling_scenario(n_sinks, with_blockages, seed)
     out: dict = {"n_sinks": n_sinks, "blockages": with_blockages}
@@ -344,15 +342,13 @@ def checkpoint_resume_equivalence(
         options=CTSOptions(),
         blockages=blockages or None,
     )
-    base = peek_node_id()
     clean = cts.synthesize(sinks, source)
-    out["clean_tree"] = tree_signature(clean.tree, base)
+    out["clean_tree"] = tree_signature(clean.tree)
     out["clean_stats"] = clean.merge_stats
     out["clean_levels"] = clean.levels
 
     with tempfile.TemporaryDirectory() as ckpt_dir:
         reset_plans()
-        base = peek_node_id()
         halted = AggressiveBufferedCTS(
             options=CTSOptions(
                 checkpoint_dir=ckpt_dir,
@@ -372,7 +368,7 @@ def checkpoint_resume_equivalence(
             blockages=blockages or None,
         )
         resumed = resumer.synthesize(sinks, source)
-    out["resumed_tree"] = tree_signature(resumed.tree, base)
+    out["resumed_tree"] = tree_signature(resumed.tree)
     out["resumed_stats"] = resumed.merge_stats
     out["resumed_levels"] = resumed.levels
     out["resumed_from"] = resumed.resumed_from

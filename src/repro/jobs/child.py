@@ -37,7 +37,6 @@ def run_job(spec: dict) -> dict:
     from repro.core import AggressiveBufferedCTS, CTSOptions
     from repro.jobs.manifest import build_instance
     from repro.tree.export import signature_digest, tree_signature
-    from repro.tree.nodes import peek_node_id
 
     t0 = time.perf_counter()
     inst = build_instance(spec["instance"])
@@ -53,9 +52,8 @@ def run_job(spec: dict) -> dict:
         options=options, blockages=inst.blockages or None
     )
     stamp_heartbeat(spec["heartbeat_file"], "engine-built")
-    base = peek_node_id()
     result = cts.synthesize(inst.sink_pairs(), inst.source)
-    signature = tree_signature(result.tree, base)
+    signature = tree_signature(result.tree)
     return {
         "job": spec["job"],
         "attempt": spec["attempt"],

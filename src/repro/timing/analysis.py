@@ -305,31 +305,6 @@ class LibraryTimingEngine:
         self._vbounds_cache.clear()
         self._cap_cache.clear()
 
-    def remap_node_ids(self, mapping: dict[int, int]) -> None:
-        """Rewrite memoized keys after a node-id renumbering.
-
-        The swept merge flow renumbers a level's freshly created nodes
-        into per-pair creation order; cached bounds and caps
-        are keyed by node id, so the keys must follow the (bijective)
-        renumbering or a later node could hit a stale entry under its
-        reassigned id.
-        """
-        if not mapping:
-            return
-        for cache in (self._bounds_cache, self._vbounds_cache):
-            moved = [key for key in cache if key[0] in mapping]
-            # Pop everything first: a moved key's target may itself be a
-            # moved key, and reinserting early would clobber its entry.
-            entries = [(key, cache.pop(key)) for key in moved]
-            for key, bounds in entries:
-                cache[(mapping[key[0]], *key[1:])] = bounds
-        moved = [node_id for node_id in self._cap_cache if node_id in mapping]
-        entries = [(node_id, self._cap_cache.pop(node_id)) for node_id in moved]
-        for node_id, cap in entries:
-            self._cap_cache[mapping[node_id]] = cap
-        if self._soa is not None:
-            self._soa.remap_ids(mapping)
-
     @staticmethod
     def _buckets_of(slew: float) -> tuple[int, float]:
         """Bucket index below ``slew`` plus the interpolation fraction."""

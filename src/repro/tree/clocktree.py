@@ -5,7 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.geom.point import Point
-from repro.tree.nodes import NodeKind, TreeNode, make_source
+from repro.tree.nodes import (
+    NodeKind,
+    TreeNode,
+    assign_structural_names,
+    make_source,
+)
 
 
 class ClockTree:
@@ -34,9 +39,14 @@ class ClockTree:
         wire_length: float | None = None,
         name: str = "clk",
     ) -> "ClockTree":
-        """Attach a source at ``source_location`` above the network root."""
+        """Attach a source at ``source_location`` above the network root.
+
+        This is where a tree's auto-named nodes get their final,
+        structural names (:func:`~repro.tree.nodes.assign_structural_names`).
+        """
         source = make_source(source_location, name=name)
         source.attach(network_root, wire_length)
+        assign_structural_names(source)
         return cls(source)
 
     # ------------------------------------------------------------------

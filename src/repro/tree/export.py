@@ -51,29 +51,12 @@ def tree_to_dict(tree: ClockTree | TreeNode) -> dict:
 def tree_signature(tree: ClockTree | TreeNode, base_id: int = 0) -> dict:
     """Canonical :func:`tree_to_dict` form for run-to-run comparison.
 
-    Auto-generated node names embed the global node-id counter, so two
-    bit-identical synthesis runs in one process still differ by a
-    constant name offset. Rebasing the embedded ids by ``base_id`` (the
-    :func:`repro.tree.nodes.peek_node_id` value captured just before the
-    run) makes signatures of identical runs compare equal. Sink and
-    source names are explicit (index-based) and are left untouched.
+    Names are structural (assigned by ``ClockTree.from_network``), so
+    two identical synthesis runs compare equal as they are, in one
+    process or across processes. ``base_id`` is accepted for old
+    callers and ignored.
     """
-    data = tree_to_dict(tree)
-
-    def rebase(node: dict) -> None:
-        if node["kind"] not in ("sink", "source"):
-            prefix, digits = node["name"][:1], node["name"][1:]
-            if (
-                prefix == node["kind"][0]
-                and digits.isdigit()
-                and int(digits) >= base_id
-            ):
-                node["name"] = f"{prefix}{int(digits) - base_id}"
-        for child in node.get("children", ()):
-            rebase(child)
-
-    rebase(data)
-    return data
+    return tree_to_dict(tree)
 
 
 def signature_digest(signature: dict) -> str:

@@ -12,11 +12,9 @@ from repro.tech.buffers import BufferType
 class _NodeIdCounter:
     """Monotonic node-id source with a non-consuming :meth:`peek`.
 
-    The parallel merge flow records which id range each prepare/commit
-    phase consumed so it can renumber a level's nodes into the exact
-    order the serial flow would have assigned (see
-    :mod:`repro.core.parallel_merge`); that requires reading the counter
-    without advancing it, which :func:`itertools.count` cannot do.
+    Ids are plain unique keys for the run's caches and the SoA mirror's
+    rows. They carry no meaning beyond identity, and exported names do
+    not depend on them (see :func:`assign_structural_names`).
     """
 
     __slots__ = ("_next",)
@@ -61,21 +59,13 @@ def set_tree_recorder(recorder):
 
 
 def peek_node_id() -> int:
-    """The id the next created :class:`TreeNode` will receive."""
-    return _node_ids.peek()
+    """The id the next created :class:`TreeNode` will receive.
 
-
-def set_node_id(value: int) -> None:
-    """Set the id the next created :class:`TreeNode` will receive.
-
-    Checkpoint resume restores the counter to its value at snapshot
-    time, so nodes created after the restart get the exact ids (and
-    auto-generated names) the uninterrupted run would have assigned —
-    a precondition for bit-identical resumed trees.
+    Nothing in the package needs it any more; the benchmark still reads
+    it (and passes it to :func:`repro.tree.export.tree_signature`, which
+    ignores it).
     """
-    if value < 0:
-        raise ValueError("node id counter cannot go negative")
-    _node_ids._next = value
+    return _node_ids.peek()
 
 
 class NodeKind(Enum):
@@ -86,6 +76,31 @@ class NodeKind(Enum):
     MERGE = "merge"  # two sub-trees join here
     BUFFER = "buffer"  # an inserted buffer (merge node or mid-route)
     STEINER = "steiner"  # route bend / wire tap, electrically just wire
+
+
+#: Auto-name prefix of every kind. An unnamed node is called prefix+id
+#: when created; :func:`assign_structural_names` later replaces that
+#: with prefix+ordinal for the :data:`STRUCTURAL_KINDS`. The prefixes
+#: are distinct, so auto names of different kinds never meet.
+NAME_PREFIX = {
+    NodeKind.SOURCE: "r",
+    NodeKind.SINK: "s",
+    NodeKind.MERGE: "m",
+    NodeKind.BUFFER: "b",
+    NodeKind.STEINER: "t",
+}
+
+#: Kinds whose auto names are placeholders until the final tree names
+#: them by structure. Sink and source names are always kept: flows name
+#: sinks ``s<index>``, which can equal a sink's auto name.
+STRUCTURAL_KINDS = frozenset(
+    (NodeKind.MERGE, NodeKind.BUFFER, NodeKind.STEINER)
+)
+
+
+def auto_name(kind: NodeKind, node_id: int) -> str:
+    """The name a node of ``kind`` created unnamed with ``node_id`` gets."""
+    return f"{NAME_PREFIX[kind]}{node_id}"
 
 
 @dataclass(eq=False)
@@ -109,7 +124,7 @@ class TreeNode:
 
     def __post_init__(self) -> None:
         if not self.name:
-            self.name = f"{self.kind.value[0]}{self.id}"
+            self.name = auto_name(self.kind, self.id)
         if self.kind is NodeKind.BUFFER and self.buffer is None:
             raise ValueError("BUFFER node requires a buffer type")
         if self.kind is not NodeKind.BUFFER and self.buffer is not None:
@@ -167,12 +182,23 @@ class TreeNode:
         return self.kind in (NodeKind.BUFFER, NodeKind.SOURCE)
 
     def walk(self):
-        """Yield this node and all descendants, parents before children."""
+        """Yield this node and all descendants, parents before children.
+
+        Children come out last-first; :meth:`preorder` keeps child order.
+        """
         stack = [self]
         while stack:
             node = stack.pop()
             yield node
             stack.extend(node.children)
+
+    def preorder(self):
+        """Yield this node and all descendants in child-order preorder."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def sinks(self) -> list["TreeNode"]:
         return [n for n in self.walk() if n.kind is NodeKind.SINK]
@@ -228,3 +254,21 @@ def make_steiner(location: Point, name: str = "") -> TreeNode:
 
 def make_source(location: Point, name: str = "clk") -> TreeNode:
     return TreeNode(NodeKind.SOURCE, location, name=name)
+
+
+def assign_structural_names(root: TreeNode) -> None:
+    """Rename auto-named merges, buffers and steiners by tree structure.
+
+    One child-order preorder pass gives each such node its kind's prefix
+    plus its ordinal among that kind's renamed nodes (``m0``, ``m1``,
+    ``b0``, ``t0``, ...). Names then depend only on the tree's shape,
+    never on the order nodes were created in or on what ran earlier in
+    the process. Explicit names (sinks, ``clk``, ``h_root``, names read
+    from a file) are left as they are.
+    """
+    ordinals = dict.fromkeys(STRUCTURAL_KINDS, 0)
+    for node in root.preorder():
+        kind = node.kind
+        if kind in ordinals and node.name == auto_name(kind, node.id):
+            node.name = f"{NAME_PREFIX[kind]}{ordinals[kind]}"
+            ordinals[kind] += 1

@@ -22,18 +22,24 @@ def validate_tree(root: TreeNode, expect_source_root: bool = False) -> None:
     - BUFFER nodes drive exactly one child;
     - MERGE nodes have exactly two children;
     - SINK nodes are leaves with positive capacitance;
+    - node names are unique (DOT, the SPICE netlist and simulated sink
+      arrivals all key on them);
     - wire lengths are >= the Manhattan distance between the endpoints
       (snaking may lengthen, never shorten).
     """
     if expect_source_root and root.kind is not NodeKind.SOURCE:
         raise TreeInvariantError(f"root is {root.kind}, expected SOURCE")
     seen: set[int] = set()
+    names: set[str] = set()
     stack = [root]
     while stack:
         node = stack.pop()
         if node.id in seen:
             raise TreeInvariantError(f"cycle detected at {node}")
         seen.add(node.id)
+        if node.name in names:
+            raise TreeInvariantError(f"duplicate node name {node.name!r}")
+        names.add(node.name)
         for child in node.children:
             if child.parent is not node:
                 raise TreeInvariantError(

@@ -88,7 +88,7 @@ def run_synthesis(
     sweep_all: bool = False,
     **options,
 ):
-    """One synthesis plus the rebased signature of its tree.
+    """One synthesis plus the signature of its tree.
 
     The default is the production flow, ``synthesize``. ``oracle=True``
     runs the per-pair oracle instead: ``_synthesize`` (no SoA mirror)
@@ -99,12 +99,10 @@ def run_synthesis(
     """
     from repro.core import AggressiveBufferedCTS, CTSOptions
     from repro.tree.export import tree_signature
-    from repro.tree.nodes import peek_node_id
 
     cts = AggressiveBufferedCTS(
         options=CTSOptions(**options), blockages=blockages
     )
-    base = peek_node_id()
     if oracle:
         with level_gates(NEVER_SWEEP, NEVER_SWEEP):
             result = cts._synthesize(sinks, source)
@@ -113,14 +111,14 @@ def run_synthesis(
             result = cts.synthesize(sinks, source)
     else:
         result = cts.synthesize(sinks, source)
-    return tree_signature(result.tree, base), result
+    return tree_signature(result.tree), result
 
 
 def assert_matches_oracle(sinks, source=None, *, sweep_all=False, **kwargs):
     """Production and the per-pair oracle build the identical tree.
 
-    Compares the rebased tree signature (topology, geometry, wires,
-    buffer types, auto names), the merge diagnostics including the
+    Compares the tree signature (topology, geometry, wires, buffer
+    types, names), the merge diagnostics including the
     floating-point snake-delay sum, the level count and the flippings.
     Returns ``(production, oracle)`` results.
     """

@@ -6,6 +6,7 @@ from repro.baselines.htree import HTreeSynthesizer
 from repro.core import AggressiveBufferedCTS
 from repro.evalx import evaluate_tree
 from repro.geom import Point
+from repro.tree.export import tree_to_dict
 from repro.tree.nodes import NodeKind
 from repro.tree.validate import validate_tree
 
@@ -49,6 +50,13 @@ class TestHTreeStructure:
     def test_empty_rejected(self, tech):
         with pytest.raises(ValueError):
             HTreeSynthesizer(tech=tech).synthesize([])
+
+    def test_repeat_builds_export_identical_trees(self, tech):
+        """Names are structural: no id offset between two builds."""
+        sinks = make_sink_pairs(10, 20000.0, seed=23)
+        first = HTreeSynthesizer(tech=tech).synthesize(sinks)
+        second = HTreeSynthesizer(tech=tech).synthesize(sinks)
+        assert tree_to_dict(first.tree) == tree_to_dict(second.tree)
 
 
 class TestHTreeVsAggressive:

@@ -9,8 +9,8 @@ from repro.evalx import evaluate_tree
 from repro.evalx.faultinject import SynthesisHalted, reset_plans
 from repro.geom import Point
 from repro.geom.bbox import BBox
-from repro.tree.export import tree_signature
-from repro.tree.nodes import NodeKind, peek_node_id
+from repro.tree.export import tree_signature, tree_to_dict
+from repro.tree.nodes import NodeKind
 from repro.tree.validate import validate_tree
 
 from tests.conftest import assert_matches_oracle, make_sink_pairs, run_synthesis
@@ -99,6 +99,14 @@ class TestAggressivenessProperties:
             r2.tree.total_wirelength()
         )
         assert r1.tree.buffer_count() == r2.tree.buffer_count()
+
+    def test_repeat_runs_export_identical_trees(self, small_sinks):
+        """Two runs in one process give the same names, not names offset
+        by the global node-id counter."""
+        cts = AggressiveBufferedCTS()
+        first = tree_to_dict(cts.synthesize(small_sinks).tree)
+        second = tree_to_dict(cts.synthesize(small_sinks).tree)
+        assert first == second
 
 
 class TestOptionsVariants:
@@ -204,7 +212,6 @@ class TestMatchesPerPairOracle:
         sinks, blockages = _blocked_instance(30, seed=35)
         oracle_sig, oracle = run_synthesis(sinks, blockages=blockages, oracle=True)
         reset_plans()
-        base = peek_node_id()
         with pytest.raises(SynthesisHalted):
             run_synthesis(
                 sinks,
@@ -218,5 +225,5 @@ class TestMatchesPerPairOracle:
         )
         resumed = resumer.synthesize(sinks)
         assert resumed.resumed_from == 2
-        assert tree_signature(resumed.tree, base) == oracle_sig
+        assert tree_signature(resumed.tree) == oracle_sig
         assert resumed.merge_stats == oracle.merge_stats

@@ -40,7 +40,6 @@ from repro.jobs.manifest import (
 from repro.jobs.policy import JobPolicy
 from repro.jobs.runner import BatchRunner, proc_rss_mb
 from repro.tree.export import signature_digest, tree_signature
-from repro.tree.nodes import peek_node_id
 
 INSTANCE = {"kind": "random", "n_sinks": 20, "area": 20000.0, "seed": 5}
 
@@ -73,9 +72,8 @@ def clean_signature(instance: dict, options: dict | None = None) -> str:
     cts = AggressiveBufferedCTS(
         options=opts, blockages=inst.blockages or None
     )
-    base = peek_node_id()
     result = cts.synthesize(inst.sink_pairs(), inst.source)
-    return signature_digest(tree_signature(result.tree, base))
+    return signature_digest(tree_signature(result.tree))
 
 
 def run_batch(tmp_path, jobs, policy=None, subdir="run"):

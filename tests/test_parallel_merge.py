@@ -1,12 +1,12 @@
-"""Swept levels renumber into per-pair creation order.
+"""Swept levels build the per-pair flow's trees.
 
 A swept topology level creates its nodes phase by phase (every prepare,
-then every commit) for all its pairs side by side; :mod:`repro.core.
-parallel_merge` maps those ids back onto the order merging the level
-pair by pair would have produced, so node ids and auto names match the
-serial per-pair flow. This module checks that end to end against the
-per-pair oracle (``tests.conftest.run_synthesis``) and unit-covers the
-mapping and the matching tie-breaks it relies on.
+then every commit) for all its pairs side by side, in a different order
+than merging the level pair by pair. Names are assigned from the final
+tree's structure, so the trees, names included, still match the
+per-pair flow. This module checks that end to end against the per-pair
+oracle (``tests.conftest.run_synthesis``) and unit-covers the matching
+tie-breaks it relies on.
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ import pickle
 import subprocess
 
 from repro.core import MergeStats
-from repro.core.parallel_merge import renumber_subtrees, serial_id_mapping
 from repro.core.topology import SubTree, greedy_matching, select_seed
 from repro.geom.bbox import BBox
 from repro.geom.point import Point
 from repro.timing.analysis import SubtreeBounds
-from repro.tree.nodes import make_merge, make_sink
+from repro.tree.nodes import make_sink
 
 from tests.conftest import (
     assert_matches_oracle,
@@ -35,9 +34,9 @@ from tests.conftest import (
 
 
 class TestParallelMatchesSerial:
-    """Every level swept (gates at one pair), renumbered, equals the
-    serial per-pair oracle: signature (ids and auto names included),
-    merge diagnostics, level count and flippings."""
+    """Every level swept (gates at one pair) equals the serial per-pair
+    oracle: signature (names included), merge diagnostics, level count
+    and flippings."""
 
     def _assert_identical(self, sinks, blockages=None, **overrides):
         return assert_matches_oracle(
@@ -114,32 +113,6 @@ class TestExecutor:
         probe = (60.0e-12, 1500.0)
         assert fit.predict(*probe) == fit_clone.predict(*probe)
         assert (fit.coeffs == fit_clone.coeffs).all()
-
-
-class TestSerialIdMapping:
-    def test_reorders_phase_blocks_into_pair_order(self):
-        # Pair 0 consumed [10,12) in prepare and [16,19) in commit; pair 1
-        # consumed [12,16) and [19,20). Serial order interleaves per pair.
-        spans = [[(10, 12), (16, 19)], [(12, 16), (19, 20)]]
-        mapping = serial_id_mapping(10, spans)
-        assert mapping == {16: 12, 17: 13, 18: 14, 12: 15, 13: 16, 14: 17, 15: 18}
-
-    def test_identity_when_already_serial(self):
-        spans = [[(5, 7), (7, 9)], [(9, 10), (10, 12)]]
-        assert serial_id_mapping(5, spans) == {}
-
-    def test_renumber_rewrites_ids_and_auto_names(self, engine):
-        left = make_sink(Point(0.0, 0.0), 5e-15, "s_left")
-        right = make_sink(Point(10.0, 0.0), 5e-15, "s_right")
-        merge = make_merge(Point(5.0, 0.0))
-        merge.attach(left)
-        merge.attach(right)
-        old = merge.id
-        new = old + 1_000_000
-        renumber_subtrees([merge], {old: new}, engine)
-        assert merge.id == new
-        assert merge.name == f"m{new}"
-        assert (left.name, right.name) == ("s_left", "s_right")
 
 
 class TestMergeStats:

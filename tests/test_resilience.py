@@ -33,9 +33,12 @@ from repro.evalx.faultinject import (
     SynthesisHalted,
     reset_plans,
 )
+from repro.core.topology import SubTree
 from repro.geom.bbox import BBox
+from repro.geom.point import Point
+from repro.timing.analysis import SubtreeBounds
 from repro.tree.export import tree_signature
-from repro.tree.nodes import peek_node_id
+from repro.tree.nodes import make_merge, make_sink
 
 from tests.conftest import make_sink_pairs, run_synthesis
 
@@ -51,12 +54,11 @@ def _fresh_fault_plans():
 
 
 def synth(sinks, blockages=None, **option_overrides):
-    """One synthesis run plus the rebased signature of its tree."""
+    """One synthesis run plus the signature of its tree."""
     options = CTSOptions(**option_overrides)
     cts = AggressiveBufferedCTS(options=options, blockages=blockages)
-    base = peek_node_id()
     result = cts.synthesize(sinks)
-    return tree_signature(result.tree, base), result, cts
+    return tree_signature(result.tree), result, cts
 
 
 def blocked_sinks(n, seed):
@@ -190,9 +192,6 @@ class TestCheckpointResume:
         clean_sig, clean, __ = synth(sinks, blockages=BLOCKAGES)
         reset_plans()
         ckpt_dir = str(tmp_path / "ckpt")
-        # Capture the base BEFORE the interrupted run: nodes created
-        # before the halt keep their original ids through the resume.
-        base = peek_node_id()
         with pytest.raises(SynthesisHalted):
             synth(
                 sinks,
@@ -208,7 +207,7 @@ class TestCheckpointResume:
         resumed = cts.synthesize(sinks)
         assert resumed.resumed_from == 2
         assert resumed.levels == clean.levels
-        assert tree_signature(resumed.tree, base) == clean_sig
+        assert tree_signature(resumed.tree) == clean_sig
         assert resumed.merge_stats == clean.merge_stats
 
     def test_resume_across_execution_modes(self, tmp_path):
@@ -217,7 +216,6 @@ class TestCheckpointResume:
         sinks = self._sinks()
         clean_sig, __, __ = synth(sinks, blockages=BLOCKAGES)
         ckpt_dir = str(tmp_path / "ckpt")
-        base = peek_node_id()
         with pytest.raises(SynthesisHalted):
             synth(
                 sinks,
@@ -230,7 +228,7 @@ class TestCheckpointResume:
             sinks, blockages=BLOCKAGES, oracle=True, resume_from=ckpt_dir
         )
         assert resumed.resumed_from == 1
-        assert tree_signature(resumed.tree, base) == clean_sig
+        assert tree_signature(resumed.tree) == clean_sig
 
     def test_resume_rejects_different_sinks(self, tmp_path):
         sinks = self._sinks()
@@ -279,7 +277,6 @@ class TestCheckpointResume:
         clean_sig, clean, __ = synth(sinks, blockages=BLOCKAGES)
         reset_plans()
         ckpt_dir = str(tmp_path / "ckpt")
-        base = peek_node_id()
         with pytest.raises(SynthesisHalted):
             synth(
                 sinks,
@@ -297,7 +294,7 @@ class TestCheckpointResume:
             )
         assert resumed.resumed_from == 1
         assert resumed.levels == clean.levels
-        assert tree_signature(resumed.tree, base) == clean_sig
+        assert tree_signature(resumed.tree) == clean_sig
 
     def test_injected_torn_write_is_bypassed_on_resume(self, tmp_path):
         """The checkpoint_torn fault site produces a skippable file."""
@@ -305,7 +302,6 @@ class TestCheckpointResume:
         clean_sig, __, __ = synth(sinks, blockages=BLOCKAGES)
         reset_plans()
         ckpt_dir = str(tmp_path / "ckpt")
-        base = peek_node_id()
         with pytest.raises(SynthesisHalted):
             synth(
                 sinks,
@@ -321,7 +317,7 @@ class TestCheckpointResume:
                 sinks, blockages=BLOCKAGES, resume_from=ckpt_dir
             )
         assert resumed.resumed_from == 1
-        assert tree_signature(resumed.tree, base) == clean_sig
+        assert tree_signature(resumed.tree) == clean_sig
 
     def test_corrupt_explicit_file_gets_no_second_chance(self, tmp_path):
         sinks = self._sinks()
@@ -359,19 +355,23 @@ class TestCheckpointResume:
                 synth(sinks, blockages=BLOCKAGES, resume_from=ckpt_dir)
 
     def test_resume_rejects_other_checkpoint_version(self, tmp_path, monkeypatch):
+        """Older formats are refused, including version 3, whose payload
+        still carried the node-id counter."""
         sinks = self._sinks()
-        ckpt_dir = str(tmp_path / "ckpt")
-        monkeypatch.setattr(checkpoint, "CHECKPOINT_VERSION", 2)
-        with pytest.raises(SynthesisHalted):
-            synth(
-                sinks,
-                blockages=BLOCKAGES,
-                checkpoint_dir=ckpt_dir,
-                fault_plan="checkpoint:0:halt",
-            )
-        monkeypatch.undo()
-        with pytest.raises(ValueError, match="has version 2"):
-            synth(sinks, blockages=BLOCKAGES, resume_from=ckpt_dir)
+        for version in (2, 3):
+            reset_plans()
+            ckpt_dir = str(tmp_path / f"ckpt_v{version}")
+            monkeypatch.setattr(checkpoint, "CHECKPOINT_VERSION", version)
+            with pytest.raises(SynthesisHalted):
+                synth(
+                    sinks,
+                    blockages=BLOCKAGES,
+                    checkpoint_dir=ckpt_dir,
+                    fault_plan="checkpoint:0:halt",
+                )
+            monkeypatch.undo()
+            with pytest.raises(ValueError, match=f"has version {version}"):
+                synth(sinks, blockages=BLOCKAGES, resume_from=ckpt_dir)
 
     def test_digests_are_mode_independent(self):
         """Run plumbing (worker count, faults, checkpoint and heartbeat
@@ -391,6 +391,25 @@ class TestCheckpointResume:
         )
         assert sinks_digest(sinks) == sinks_digest(list(sinks))
 
+    def test_decode_renames_only_structural_placeholders(self, buffers):
+        """Frame ids are frame-local keys. A merge's ``m<id>`` placeholder
+        gets a fresh one on decode, but a sink named ``s<i>`` keeps its
+        name even when ``i`` equals its frame id (a fresh process numbers
+        the sinks first, so ``s<i>`` is also the sink's auto name)."""
+        indexed = make_sink(Point(0.0, 0.0), 5e-15)
+        assert indexed.name == f"s{indexed.id}"
+        named = make_sink(Point(900.0, 0.0), 5e-15, "clk_pin")
+        merge = make_merge(Point(450.0, 0.0))
+        merge.attach(indexed)
+        merge.attach(named)
+        frame = checkpoint._encode_subtree(
+            SubTree(merge, SubtreeBounds(0.0, 0.0, 0.0))
+        )
+        decoded = checkpoint._decode_subtree(frame, buffers).root
+        assert decoded.id != merge.id
+        assert decoded.name == f"m{decoded.id}"
+        assert [c.name for c in decoded.children] == [indexed.name, "clk_pin"]
+
     def test_loaded_state_roundtrips(self, tmp_path):
         sinks = self._sinks()
         ckpt_dir = str(tmp_path / "ckpt")
@@ -405,7 +424,6 @@ class TestCheckpointResume:
         cts = AggressiveBufferedCTS(options=options, blockages=BLOCKAGES)
         state = load_checkpoint(ckpt_dir, sinks, options, cts.buffers)
         assert state.levels_done == 2
-        assert state.next_node_id <= peek_node_id()
         for subtree in state.subtrees:
             # Child order survived the round trip (walk() reverses it,
             # which is exactly why the encoder must not use walk()).

@@ -11,7 +11,6 @@ cache values, rows — never approx.
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import _iter_preorder
 from repro.core.cts import AggressiveBufferedCTS
 from repro.core.options import CTSOptions
 from repro.core.soa_tree import SoaTree
@@ -27,7 +26,6 @@ from repro.tree.nodes import (
     make_merge,
     make_sink,
     make_source,
-    peek_node_id,
     set_tree_recorder,
 )
 
@@ -37,16 +35,15 @@ BLOCKAGES = [BBox(8000.0, 8000.0, 16000.0, 16000.0)]
 
 
 def synth(sinks, blockages=None, mirror=True, source=None):
-    """One synthesis run plus the rebased signature of its tree.
+    """One synthesis run plus the signature of its tree.
 
     ``mirror=False`` runs the same flow (same level gates, same kernels)
     on the object walks: ``_synthesize`` without the SoA mirror.
     """
     cts = AggressiveBufferedCTS(options=CTSOptions(), blockages=blockages)
-    base = peek_node_id()
     run = cts.synthesize if mirror else cts._synthesize
     result = run(sinks, source)
-    return tree_signature(result.tree, base), result, cts
+    return tree_signature(result.tree), result, cts
 
 
 def blocked_sinks(n, seed):
@@ -85,7 +82,7 @@ def object_checkpoint_rows(root):
             node.buffer.name if node.buffer is not None else None,
             node.parent.id if node.parent is not None else None,
         )
-        for node in _iter_preorder(root)
+        for node in root.preorder()
     ]
 
 
@@ -157,8 +154,7 @@ class TestMirrorRoundTrip:
         rows = recorded.checkpoint_rows(root)
         assert rows == object_checkpoint_rows(root)
         rebuilt = self._rebuild(rows, buffers)
-        base = min(r[0] for r in rows)
-        assert tree_signature(rebuilt, base) == tree_signature(root, base)
+        assert tree_signature(rebuilt) == tree_signature(root)
 
     def _rebuild(self, rows, buffers):
         from repro.tree.nodes import TreeNode
@@ -199,23 +195,30 @@ class TestKernelEquality:
 
     def test_prefill_fills_object_cache_superset(self):
         sinks = blocked_sinks(18, seed=22)
-        base_soa = peek_node_id()
-        __, __r, cts_soa = synth(sinks, blockages=BLOCKAGES)
-        base_obj = peek_node_id()
-        __, __r, cts_obj = synth(sinks, blockages=BLOCKAGES, mirror=False)
+        __, soa_result, cts_soa = synth(sinks, blockages=BLOCKAGES)
+        __, obj_result, cts_obj = synth(sinks, blockages=BLOCKAGES, mirror=False)
 
-        def rebase(cache, base):
-            return {(key[0] - base, *key[1:]): val for key, val in cache.items()}
+        def by_name(cache, tree):
+            # Node ids are run-local keys (the mirror run defers stage
+            # buffers, so its creation order differs); the final names
+            # are structural, so they pair up the two runs' nodes.
+            names = {node.id: node.name for node in tree.root.walk()}
+            return {
+                (names[key[0]], *key[1:]): val
+                for key, val in cache.items()
+                if key[0] in names
+            }
 
-        soa_bounds = rebase(cts_soa.engine._bounds_cache, base_soa)
-        obj_bounds = rebase(cts_obj.engine._bounds_cache, base_obj)
+        soa_bounds = by_name(cts_soa.engine._bounds_cache, soa_result.tree)
+        obj_bounds = by_name(cts_obj.engine._bounds_cache, obj_result.tree)
         # The mirror may prefetch extra buckets (pure functions of the
         # key); everything the object walk computed must be present and
         # bit-identical.
+        assert obj_bounds
         assert set(obj_bounds) <= set(soa_bounds)
         assert all(soa_bounds[k] == v for k, v in obj_bounds.items())
-        soa_v = rebase(cts_soa.engine._vbounds_cache, base_soa)
-        obj_v = rebase(cts_obj.engine._vbounds_cache, base_obj)
+        soa_v = by_name(cts_soa.engine._vbounds_cache, soa_result.tree)
+        obj_v = by_name(cts_obj.engine._vbounds_cache, obj_result.tree)
         assert set(obj_v) <= set(soa_v)
         assert all(soa_v[k] == v for k, v in obj_v.items())
 

@@ -6,6 +6,7 @@ from repro.geom import Point
 from repro.tech import cts_buffer_library
 from repro.tree.clocktree import ClockTree, tree_edges
 from repro.tree.nodes import (
+    NAME_PREFIX,
     NodeKind,
     make_buffer,
     make_merge,
@@ -50,6 +51,14 @@ class TestNodeConstruction:
         a = make_merge(Point(0, 0))
         b = make_merge(Point(0, 0))
         assert a.name != b.name
+
+    def test_auto_name_prefixes_are_distinct(self, buf20):
+        """Steiners no longer share the sinks' ``s`` prefix."""
+        assert len(set(NAME_PREFIX.values())) == len(NodeKind)
+        bend = make_steiner(Point(0, 0))
+        assert bend.name == f"t{bend.id}"
+        buf = make_buffer(Point(0, 0), buf20)
+        assert buf.name == f"b{buf.id}"
 
     def test_attach_default_wire_is_manhattan(self, buf20):
         parent = make_merge(Point(0, 0))
@@ -182,9 +191,73 @@ class TestClockTree:
             assert edge.child.parent is edge.parent
 
 
+class TestStructuralNames:
+    """``ClockTree.from_network`` names auto-named nodes by structure."""
+
+    @staticmethod
+    def _mirror_tree(buf20, reverse_creation: bool):
+        """One tree shape, its interior nodes created in either order."""
+        points = [Point(1000, 0), Point(3000, 0), Point(2000, 100)]
+        if reverse_creation:
+            top, right, left = [make_merge(p) for p in reversed(points)]
+        else:
+            left, right, top = [make_merge(p) for p in points]
+        for merge, x in ((left, 0), (right, 2000)):
+            merge.attach(make_sink(Point(x, 0), 5e-15, f"s{x // 1000}"))
+            buf = make_buffer(Point(x + 1000, 50), buf20)
+            merge.attach(buf)
+            buf.attach(make_sink(Point(x + 1000, 60), 5e-15, f"s{x // 1000 + 1}"))
+        top.attach(left)
+        top.attach(right)
+        return ClockTree.from_network(Point(2000, 200), top)
+
+    def test_names_independent_of_creation_order(self, buf20):
+        from repro.tree.export import tree_to_dict
+
+        first = self._mirror_tree(buf20, reverse_creation=False)
+        second = self._mirror_tree(buf20, reverse_creation=True)
+        assert tree_to_dict(first) == tree_to_dict(second)
+        # Child-order preorder: clk, top merge, left merge, its sink,
+        # its buffer, ..., right merge, ...
+        order = [node.name for node in first.root.preorder()]
+        assert order == [
+            "clk", "m0", "m1", "s0", "b0", "s1", "m2", "s2", "b1", "s3"
+        ]
+
+    def test_explicit_names_kept(self):
+        tap = make_steiner(Point(0, 0), name="h_root")
+        bend = make_steiner(Point(0, 100))
+        tap.attach(bend)
+        bend.attach(make_sink(Point(0, 200), 5e-15, "s0"))
+        tree = ClockTree.from_network(Point(0, -100), tap, name="clk")
+        names = [node.name for node in tree.root.preorder()]
+        assert names == ["clk", "h_root", "t0", "s0"]
+
+    def test_steiner_ordinals_never_meet_sink_names(self):
+        """Ordinal steiner names under the old shared ``s`` prefix would
+        have collided with index-named sinks."""
+        root = make_steiner(Point(0, 0))
+        for i in range(3):
+            bend = make_steiner(Point(100 * i, 100))
+            root.attach(bend)
+            bend.attach(make_sink(Point(100 * i, 200), 5e-15, f"s{i}"))
+        tree = ClockTree.from_network(Point(0, -100), root)
+        validate_tree(tree.root, expect_source_root=True)
+        steiners = [n.name for n in tree.nodes() if n.kind is NodeKind.STEINER]
+        assert sorted(steiners) == ["t0", "t1", "t2", "t3"]
+
+
 class TestValidate:
     def test_valid_tree_passes(self, buf20):
         validate_tree(small_tree(buf20).root, expect_source_root=True)
+
+    def test_duplicate_names_fail(self):
+        """DOT, the SPICE netlist and simulated arrivals key on names."""
+        merge = make_merge(Point(0, 0))
+        merge.attach(make_sink(Point(1, 1), 1e-15, "s0"))
+        merge.attach(make_sink(Point(2, 2), 1e-15, "s0"))
+        with pytest.raises(TreeInvariantError, match="duplicate node name"):
+            validate_tree(merge)
 
     def test_merge_with_one_child_fails(self):
         merge = make_merge(Point(0, 0))
